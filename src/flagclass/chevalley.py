@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CartanBracketError, RootArgumentError
-from .rootsys import Root, RootSystem, inner_product
+from .rootsys import Root, RootSystem, inner_product, root_string
 
 Q = Fraction
 
@@ -139,6 +139,17 @@ class StructureConstants:
     table: dict[tuple[Root, Root], ExtScalar]
 
 
+def _length(rs: RootSystem, r: Root) -> Q:
+    return inner_product(rs, r, r)
+
+
+def _n_pos(table, order, x: Root, y: Root) -> Q:
+    """Constant for two positive roots, from the pair stored in root order."""
+    if order[x] < order[y]:
+        return table[(x, y)]
+    return -table[(y, x)]
+
+
 def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
     """Integer constants on ordered pairs of positive roots, extraspecial signs positive.
 
@@ -151,22 +162,6 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
     order = {r: i for i, r in enumerate(pos)}
     table: dict[tuple[Root, Root], Q] = {}
 
-    def length(r: Root) -> Q:
-        return inner_product(rs, r, r)
-
-    def n_pos(x: Root, y: Root) -> Q:
-        if order[x] < order[y]:
-            return table[(x, y)]
-        return -table[(y, x)]
-
-    def string_down(a: Root, b: Root) -> int:
-        p = 0
-        cur = b - a
-        while cur in rs.root_set:
-            p += 1
-            cur = cur - a
-        return p
-
     for gamma in pos:
         pairs = []
         for x in pos:
@@ -177,19 +172,23 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
             continue
         pairs.sort(key=lambda xy: order[xy[0]])
         alpha, beta = pairs[0]
-        table[(alpha, beta)] = Q(string_down(alpha, beta) + 1)
+        table[(alpha, beta)] = Q(root_string(rs, alpha, beta)[0] + 1)
         # N(gamma, -alpha) = -(beta,beta)/(gamma,gamma) * N(alpha, beta)
-        denom = -(length(beta) / length(gamma)) * table[(alpha, beta)]
+        denom = -(_length(rs, beta) / _length(rs, gamma)) * table[(alpha, beta)]
         for xi, eta in pairs[1:]:
             acc = Q(0)
             d1 = xi - alpha
             if d1 in posset:
                 # N(-alpha, xi) = -(d1,d1)/(xi,xi) * N(d1, alpha)
-                acc += (-(length(d1) / length(xi)) * n_pos(d1, alpha)) * n_pos(d1, eta)
+                acc += (
+                    -(_length(rs, d1) / _length(rs, xi)) * _n_pos(table, order, d1, alpha)
+                ) * _n_pos(table, order, d1, eta)
             d2 = eta - alpha
             if d2 in posset:
                 # N(eta, -alpha) = +(d2,d2)/(eta,eta) * N(d2, alpha)
-                acc += ((length(d2) / length(eta)) * n_pos(d2, alpha)) * n_pos(d2, xi)
+                acc += (
+                    (_length(rs, d2) / _length(rs, eta)) * _n_pos(table, order, d2, alpha)
+                ) * _n_pos(table, order, d2, xi)
             val = -acc / denom
             assert val != 0 and val.denominator == 1, (xi, eta, val)
             table[(xi, eta)] = val
@@ -198,18 +197,9 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
 
 def _chevalley_value(rs: RootSystem, table, order, a: Root, b: Root) -> Q:
     """Constant for an arbitrary ordered root pair, from the positive table."""
-
-    def length(r: Root) -> Q:
-        return inner_product(rs, r, r)
-
-    def n_pos(x: Root, y: Root) -> Q:
-        if order[x] < order[y]:
-            return table[(x, y)]
-        return -table[(y, x)]
-
     apos, bpos = a.is_positive(), b.is_positive()
     if apos and bpos:
-        return n_pos(a, b)
+        return _n_pos(table, order, a, b)
     if not apos and not bpos:
         return -_chevalley_value(rs, table, order, -a, -b)
     if not apos:
@@ -218,8 +208,8 @@ def _chevalley_value(rs: RootSystem, table, order, a: Root, b: Root) -> Q:
     c = a + b
     if c.is_positive():
         # invariance on the zero-sum triple (a, b, -c)
-        return -(length(c) / length(a)) * n_pos(-b, c)
-    return -(length(c) / length(b)) * n_pos(a, -c)
+        return -(_length(rs, c) / _length(rs, a)) * _n_pos(table, order, -b, c)
+    return -(_length(rs, c) / _length(rs, b)) * _n_pos(table, order, a, -c)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -31,7 +30,7 @@ from .errors import (
     NotConnectedError,
 )
 from .flag import FlagSpec, build_t_roots, make_flag
-from .rootsys import LieType, RootSystem, build_root_system
+from .rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from .structures import (
     classify_triple,
     closed_metric_feasibility,
@@ -51,9 +50,6 @@ SCHEMA = "flagclass/1"
 DEFAULT_IACS_CAP = 12
 DEFAULT_VERIFY_RANK = 4
 
-_FAMILY_MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4, "G": 2, "F": 4, "E": 6}
-_FAMILY_MAX_RANK = {"G": 2, "F": 4, "E": 8}
-
 
 class UsageError(Exception):
     pass
@@ -64,22 +60,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def types_up_to(max_rank: int) -> list[LieType]:
-    """Every simple type with rank at most max_rank, by rank then family."""
-    out = []
-    for rank in range(1, max_rank + 1):
-        for family in "ABCDEFG":
-            lo = _FAMILY_MIN_RANK[family]
-            hi = _FAMILY_MAX_RANK.get(family)
-            if rank >= lo and (hi is None or rank <= hi):
-                out.append(LieType(family, rank))
-    return out
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
 
-def proper_subsets(rank: int):
-    """Painted sets in sweep order: by size, then lexicographically."""
-    for size in range(rank):
-        yield from itertools.combinations(range(1, rank + 1), size)
+    return parse
 
 
 def _parse_lie_type(type_str: str | None, rank: int | None) -> LieType:
@@ -342,18 +335,15 @@ def run_verify(max_rank: int, iacs_cap: int, weyl_cap: int) -> tuple[list[str], 
 
             chambers = {c.signs for c in t_chambers(ts)}
             for j in enumerate_iacs(ts, cap=iacs_cap):
-                routes = {
-                    is_integrable(j, ts),
-                    nijenhuis_oracle(f, sc, j),
-                    j.signs in chambers,
-                }
+                integrable = is_integrable(j, ts)
+                routes = {integrable, nijenhuis_oracle(f, sc, j), j.signs in chambers}
                 fourway.case(
                     len(routes) == 1,
                     f"{where}: integrability routes disagree at signs={j.signs}",
                 )
                 if closed_metric_feasibility(j, ts).feasible:
                     ak.case(
-                        is_integrable(j, ts),
+                        integrable,
                         f"{where}: closed metric on non-integrable signs={j.signs}",
                     )
             if len(ts.positive) >= 2:
@@ -382,7 +372,7 @@ def build_parser() -> _Parser:
         p.add_argument("--paint", help="painted indices instead; the complement of --theta")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--iacs-cap", type=int, default=DEFAULT_IACS_CAP)
+        p.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
 
     p_info = sub.add_parser("info", help="shape of one flag")
     add_flag_args(p_info)
@@ -391,13 +381,13 @@ def build_parser() -> _Parser:
     add_flag_args(p_classify)
 
     p_sweep = sub.add_parser("sweep", help="classification reports for every small flag")
-    p_sweep.add_argument("--max-rank", type=int, default=2)
+    p_sweep.add_argument("--max-rank", type=_int_at_least(1), default=2)
     p_sweep.add_argument("--out", help="output directory (required unless FLAGCLASS_OUT is set)")
-    p_sweep.add_argument("--iacs-cap", type=int, default=DEFAULT_IACS_CAP)
+    p_sweep.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
 
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
-    p_verify.add_argument("--max-rank", type=int, default=DEFAULT_VERIFY_RANK)
-    p_verify.add_argument("--iacs-cap", type=int, default=DEFAULT_IACS_CAP)
+    p_verify.add_argument("--max-rank", type=_int_at_least(1), default=DEFAULT_VERIFY_RANK)
+    p_verify.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
     p_verify.add_argument("--weyl-cap", type=int, default=WEYL_CAP)
     p_verify.add_argument("--out", help="also write the check lines here")
 

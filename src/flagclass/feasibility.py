@@ -7,7 +7,9 @@ of a homogeneous equality system).  Both are decided by Fourier-Motzkin
 elimination with Fraction arithmetic, so answers are exact and samples
 are rational.  Infeasible positive-kernel instances come with a dual
 certificate: a combination of the equality rows that is nonnegative and
-nonzero, which no strictly positive vector can annihilate.
+nonzero, which no strictly positive vector can annihilate.  Its
+multipliers come from the same single reduction of [E | I] that yields
+the row-space basis searched for that combination.
 """
 from __future__ import annotations
 
@@ -39,16 +41,6 @@ def _as_fractions(row) -> Row:
     return tuple(Fraction(x) for x in row)
 
 
-def _normalize(row: StrictRow) -> StrictRow:
-    """Rescale to coprime integer coefficients; direction is preserved."""
-    lcm = math.lcm(*(c.denominator for c in row.coeffs))
-    ints = [int(c * lcm) for c in row.coeffs]
-    g = math.gcd(*ints)
-    if g == 0:
-        return StrictRow(tuple(Fraction(0) for _ in row.coeffs), row.strict)
-    return StrictRow(tuple(Fraction(i // g) for i in ints), row.strict)
-
-
 def _dedupe(rows: list[StrictRow]) -> list[StrictRow]:
     strictness: dict[Row, bool] = {}
     for r in rows:
@@ -57,10 +49,10 @@ def _dedupe(rows: list[StrictRow]) -> list[StrictRow]:
 
 
 def _combine(p: StrictRow, q: StrictRow, k: int) -> StrictRow:
-    """Positive combination of p (coeff at k > 0) and q (< 0) killing x_k."""
+    """Positive combination of p (coeff at k > 0) and q (< 0) killing x_k, in lowest terms."""
     a, b = -q.coeffs[k], p.coeffs[k]
-    coeffs = tuple(a * pc + b * qc for pc, qc in zip(p.coeffs, q.coeffs))
-    return StrictRow(coeffs, p.strict or q.strict)
+    coeffs = [a * pc + b * qc for pc, qc in zip(p.coeffs, q.coeffs)]
+    return StrictRow(scale_to_integers(coeffs), p.strict or q.strict)
 
 
 def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
@@ -75,7 +67,7 @@ def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
         coeffs = _as_fractions(r.coeffs)
         if len(coeffs) != n:
             raise DimensionMismatchError(f"row of length {len(coeffs)}, expected {n}")
-        current.append(_normalize(StrictRow(coeffs, r.strict)))
+        current.append(StrictRow(scale_to_integers(coeffs), r.strict))
 
     levels: list[tuple[int, list[StrictRow]]] = []
     for k in range(n - 1, -1, -1):
@@ -90,7 +82,7 @@ def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
         levels.append((k, pos + neg))
         derived = [_combine(p, q, k) for p in pos for q in neg]
         current = []
-        for r in _dedupe(keep + [_normalize(d) for d in derived]):
+        for r in _dedupe(keep + derived):
             if any(r.coeffs):
                 current.append(r)
             elif r.strict:
@@ -165,26 +157,28 @@ def null_space_basis(rows: list[Row], n: int) -> list[Row]:
 
 
 def scale_to_integers(vec) -> tuple[Fraction, ...]:
-    """Positive rescale of a rational vector to coprime integer entries."""
-    fracs = _as_fractions(vec)
-    if not any(fracs):
-        return fracs
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * lcm) for f in fracs]
-    g = math.gcd(*(abs(i) for i in ints))
+    """Positive rescale of a vector of ints or Fractions to coprime integer entries."""
+    lcm = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * lcm) for x in vec]
+    g = math.gcd(*ints) or 1
     return tuple(Fraction(i // g) for i in ints)
 
 
 def _positive_combination_certificate(eq_rows: list[Row], n: int) -> tuple[Fraction, ...]:
     """Multipliers y with y^T E >= 0 and != 0, witnessing infeasibility.
 
-    Searched inside the row space: z = w . B for a row-space basis B, with
-    z >= 0 componentwise and a strictly positive total, then y recovered by
-    solving E^T y = z.
+    One reduction of [E | I], pivoting in the first n columns, gives rows
+    [B_i | T_i] with B_i = T_i . E and the B_i a row-space basis.  The
+    search finds w with z = w . B >= 0 componentwise and a strictly
+    positive total; then y = w . T.
     """
-    basis, _ = rref(eq_rows, n)
-    m = len(basis)
-    cols = [[basis[i][j] for i in range(m)] for j in range(n)]
+    m_rows = len(eq_rows)
+    augmented = [
+        (*row, *(int(r == k) for r in range(m_rows))) for k, row in enumerate(eq_rows)
+    ]
+    reduced, _ = rref(augmented, n)
+    m = len(reduced)
+    cols = [[reduced[i][j] for i in range(m)] for j in range(n)]
     rows = [StrictRow(tuple(col), strict=False) for col in cols]
     total = tuple(sum(col[i] for col in cols) for i in range(m))
     w = solve_strict_rows([*rows, StrictRow(total, strict=True)], m)
@@ -192,29 +186,7 @@ def _positive_combination_certificate(eq_rows: list[Row], n: int) -> tuple[Fract
         raise InvariantViolationError(
             "positive-kernel instance infeasible but no dual certificate exists"
         )
-    z = [sum(w[i] * basis[i][j] for i in range(m)) for j in range(n)]
-
-    # solve E^T y = z for y over the original rows
-    m_rows = len(eq_rows)
-    aug = [[Fraction(eq_rows[r][j]) for r in range(m_rows)] + [z[j]] for j in range(n)]
-    y = [Fraction(0)] * m_rows
-    rank = 0
-    pivots = []
-    for col in range(m_rows):
-        pivot_row = next((i for i in range(rank, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [c * inv for c in aug[rank]]
-        for i in range(n):
-            if i != rank and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i, col in enumerate(pivots):
-        y[col] = aug[i][-1]
+    y = [sum(w[i] * reduced[i][n + r] for i in range(m)) for r in range(m_rows)]
     combo = [
         sum(y[r] * Fraction(eq_rows[r][j]) for r in range(m_rows)) for j in range(n)
     ]

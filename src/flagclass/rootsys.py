@@ -8,6 +8,7 @@ is a Fraction, never a float.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,23 @@ _RANK_RULES: dict[str, tuple[int, int | None]] = {
     "F": (4, 4),
     "G": (2, 2),
 }
+
+
+def types_up_to(max_rank: int) -> list[LieType]:
+    """Every simple type with rank at most max_rank, by rank then family."""
+    return [
+        LieType(family, rank)
+        for rank in range(1, max_rank + 1)
+        for family, (lo, hi) in sorted(_RANK_RULES.items())
+        if rank >= lo and (hi is None or rank <= hi)
+    ]
+
+
+def proper_subsets(rank: int):
+    """Painted sets in sweep order: by size, then lexicographically."""
+    for size in range(rank):
+        yield from itertools.combinations(range(1, rank + 1), size)
+
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 

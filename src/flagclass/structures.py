@@ -15,13 +15,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .chevalley import ExtScalar, StructureConstants, bracket_coefficient
+from .chevalley import StructureConstants, bracket_coefficient
 from .errors import CapExceededError, InvalidInputError, InvariantViolationError
 from .feasibility import StrictRow, solve_positive_kernel, solve_strict_rows
 from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots, t_projection
 from .rootsys import Root
 from .tzs import (
-    FunctionalSet,
     TzsChain,
     ZeroSumTriple,
     chain_between,

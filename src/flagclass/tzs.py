@@ -180,14 +180,15 @@ def _bfs_tree(base: Vec, adj) -> dict[Vec, tuple[Vec, ZeroSumTriple]]:
     return tree
 
 
-def _chain_from_tree(base: Vec, target: Vec, tree) -> TzsChain:
+def _chain_from_tree(a: Vec, b: Vec, tree) -> TzsChain:
+    """The chain from a to b, walking tree pointers from b's class to a's."""
+    base, node = pm_class_rep(a), pm_class_rep(b)
     path = []
-    node = target
     while node != base:
         parent, t = tree[node]
         path.append(t)
         node = parent
-    chain = TzsChain((base, target), tuple(reversed(path)))
+    chain = TzsChain((a, b), tuple(reversed(path)))
     chain.validate()
     return chain
 
@@ -237,12 +238,4 @@ def chain_between(s: FunctionalSet, a, b) -> TzsChain:
     tree = _bfs_tree(base, adj)
     if target not in tree:
         raise NotConnectedError(f"{a} and {b} are not connected by zero-sum triples")
-    path = []
-    node = target
-    while node != base:
-        parent, t = tree[node]
-        path.append(t)
-        node = parent
-    chain = TzsChain((a, b), tuple(reversed(path)))
-    chain.validate()
-    return chain
+    return _chain_from_tree(a, b, tree)

@@ -62,6 +62,8 @@ def test_paint_is_the_complement(capsys):
         ("info", "--type", "Z9"),
         ("info", "--type", "A3", "--rank", "3"),
         ("classify",),
+        ("classify", "--type", "A2", "--theta", "--iacs-cap", "-1"),
+        ("verify", "--max-rank", "0"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -172,6 +174,14 @@ def test_sweep_without_out_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", "--max-rank", "2")
     assert code == 1
     assert "usage error" in err
+
+
+def test_sweep_rejects_nonpositive_max_rank(capsys, tmp_path):
+    out = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", "--max-rank", "-2", "--out", str(out))
+    assert code == 1
+    assert "usage error" in err
+    assert not (out / "index.json").exists()
 
 
 def test_sweep_marks_capped_flags_as_errors(capsys, tmp_path):

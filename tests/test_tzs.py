@@ -181,6 +181,11 @@ def test_chain_a2_single_triple():
     chain = chain_between(s, (1, 0), (0, 1))
     assert len(chain.triples) == 1
     assert chain.triples[0].members == ((-1, -1), (0, 1), (1, 0))
+    # endpoints that are not class representatives are kept as given
+    flipped = chain_between(s, (-1, 0), (0, 1))
+    assert flipped.endpoints == ((-1, 0), (0, 1))
+    assert flipped.triples == chain.triples
+    flipped.validate()
 
 
 def test_chain_a3_two_steps():
