@@ -182,10 +182,11 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
                 ],
             }
         )
-    ak_holds = all(
-        entry["integrable"]
+    # Only a non-integrable structure can break ak-equals-k.
+    ak_holds = not any(
+        closed_metric_feasibility(j, ts).feasible
         for entry, j in zip(entries, structures)
-        if closed_metric_feasibility(j, ts).feasible
+        if not entry["integrable"]
     )
     return {
         "schema": SCHEMA,
@@ -233,8 +234,14 @@ def sweep_filename(t: LieType, theta: tuple[int, ...]) -> str:
 
 
 def run_sweep(max_rank: int, out_dir: Path, iacs_cap: int) -> dict:
+    """One report per flag plus index.json; failed flags are indexed with status "error".
+
+    A verification failure does not stop the sweep: the first one is
+    raised again once the index is written.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     index_entries = []
+    failure = None
     for t in types_up_to(max_rank):
         rs = build_root_system(t)
         for theta in proper_subsets(t.rank):
@@ -243,8 +250,10 @@ def run_sweep(max_rank: int, out_dir: Path, iacs_cap: int) -> dict:
             try:
                 payload = classify_payload(make_flag(rs, theta), iacs_cap)
             except CapExceededError as e:
-                entry["status"] = "error"
-                entry["error"] = str(e)
+                entry["status"], entry["error"] = "error", str(e)
+            except (InvariantViolationError, NotConnectedError) as e:
+                entry["status"], entry["error"] = "error", str(e)
+                failure = failure or e
             else:
                 (out_dir / name).write_text(_dump_json(payload))
                 entry["status"] = "ok"
@@ -252,6 +261,8 @@ def run_sweep(max_rank: int, out_dir: Path, iacs_cap: int) -> dict:
             index_entries.append(entry)
     index = {"schema": SCHEMA, "max_rank": max_rank, "flags": index_entries}
     (out_dir / "index.json").write_text(_dump_json(index))
+    if failure is not None:
+        raise failure
     return index
 
 
@@ -388,7 +399,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
     p_verify.add_argument("--max-rank", type=_int_at_least(1), default=DEFAULT_VERIFY_RANK)
     p_verify.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
-    p_verify.add_argument("--weyl-cap", type=int, default=WEYL_CAP)
+    p_verify.add_argument("--weyl-cap", type=_int_at_least(0), default=WEYL_CAP)
     p_verify.add_argument("--out", help="also write the check lines here")
 
     return parser

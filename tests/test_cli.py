@@ -1,12 +1,16 @@
 """Command line behavior: formats, exit codes, sweep determinism, verify wiring."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flagclass
 from flagclass import cli
 from flagclass.chevalley import StructureConstants, compute_structure_constants
+from flagclass.errors import InvariantViolationError
 from flagclass.rootsys import LieType
 
 
@@ -64,6 +68,7 @@ def test_paint_is_the_complement(capsys):
         ("classify",),
         ("classify", "--type", "A2", "--theta", "--iacs-cap", "-1"),
         ("verify", "--max-rank", "0"),
+        ("verify", "--max-rank", "2", "--weyl-cap", "-1"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -198,6 +203,43 @@ def test_sweep_marks_capped_flags_as_errors(capsys, tmp_path):
     assert not (out / "A2_theta_none.json").exists()
 
 
+def test_sweep_indexes_a_verification_failure_and_exits_three(capsys, tmp_path, monkeypatch):
+    classify = cli.classify_payload
+
+    def failing_on_b2_full(f, iacs_cap):
+        if str(f.rs.lie_type) == "B2" and not f.theta:
+            raise InvariantViolationError("injected failure")
+        return classify(f, iacs_cap)
+
+    monkeypatch.setattr(cli, "classify_payload", failing_on_b2_full)
+    out = tmp_path / "sweep"
+    code, _, err = run_cli(capsys, "sweep", "--max-rank", "2", "--out", str(out))
+    assert code == 3
+    assert "injected failure" in err
+    index = json.loads((out / "index.json").read_text())
+    assert [e["file"] for e in index["flags"]] == EXPECTED_SWEEP_FILES
+    by_file = {e["file"]: e for e in index["flags"]}
+    assert by_file["B2_theta_none.json"] == {
+        "file": "B2_theta_none.json",
+        "flag": {"type": "B2", "theta": []},
+        "status": "error",
+        "error": "injected failure",
+    }
+    assert not (out / "B2_theta_none.json").exists()
+    others = [name for name in EXPECTED_SWEEP_FILES if name != "B2_theta_none.json"]
+    assert all(by_file[name]["status"] == "ok" for name in others)
+    assert all((out / name).exists() for name in others)
+
+    # a verification failure outranks the cap's exit 2
+    code, _, _ = run_cli(
+        capsys, "sweep", "--max-rank", "2", "--out", str(out), "--iacs-cap", "2"
+    )
+    assert code == 3
+    by_file = {e["file"]: e for e in json.loads((out / "index.json").read_text())["flags"]}
+    assert "cap" in by_file["A2_theta_none.json"]["error"]
+    assert by_file["B2_theta_none.json"]["error"] == "injected failure"
+
+
 def test_verify_rank_two_all_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
     assert code == 0
@@ -242,10 +284,14 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 
 
 def test_module_entrypoint_runs():
+    # the child must import the same flagclass as this process
+    src = str(Path(flagclass.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "flagclass.cli", "info", "--type", "B2", "--theta", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "fiber dimension" in proc.stdout

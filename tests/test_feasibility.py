@@ -109,13 +109,17 @@ def test_kernel_no_equations_vacuous():
     res = solve_positive_kernel([], 4)
     assert res.feasible
     assert res.sample == (1, 1, 1, 1)
+    res = solve_positive_kernel([], 0)
+    assert res.feasible
+    assert res.sample == ()
 
 
 def test_kernel_full_rank_infeasible():
-    rows = [(1, 0), (0, 1)]
-    res = solve_positive_kernel(rows, 2)
-    assert not res.feasible
-    check_certificate(rows, res.certificate)
+    # the second system has no single-signed row, so it passes the fast path
+    for rows in ([(1, 0), (0, 1)], [(1, -1), (1, -2)]):
+        res = solve_positive_kernel(rows, 2)
+        assert not res.feasible
+        check_certificate(rows, res.certificate)
 
 
 def test_kernel_deterministic():
