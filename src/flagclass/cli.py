@@ -228,6 +228,24 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path with text through a sibling temp file, so a failed write leaves the old file.
+
+    A symlink such as /dev/stdout, or a target that exists but is no regular
+    file such as a pipe, is written in place: renaming over it would replace it.
+    """
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        path.write_text(text)
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def sweep_filename(t: LieType, theta: tuple[int, ...]) -> str:
     tag = "-".join(str(k) for k in theta) if theta else "none"
     return f"{t}_theta_{tag}.json"
@@ -255,12 +273,12 @@ def run_sweep(max_rank: int, out_dir: Path, iacs_cap: int) -> dict:
                 entry["status"], entry["error"] = "error", str(e)
                 failure = failure or e
             else:
-                (out_dir / name).write_text(_dump_json(payload))
+                _write_atomic(out_dir / name, _dump_json(payload))
                 entry["status"] = "ok"
                 entry["theorems"] = payload["theorems"]
             index_entries.append(entry)
     index = {"schema": SCHEMA, "max_rank": max_rank, "flags": index_entries}
-    (out_dir / "index.json").write_text(_dump_json(index))
+    _write_atomic(out_dir / "index.json", _dump_json(index))
     if failure is not None:
         raise failure
     return index
@@ -413,7 +431,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_atomic(Path(out), text)
 
 
 def main(argv=None) -> int:
@@ -449,7 +467,7 @@ def main(argv=None) -> int:
         text = "\n".join(lines) + "\n"
         sys.stdout.write(text)
         if out is not None:
-            Path(out).write_text(text)
+            _write_atomic(Path(out), text)
         return 0 if ok else 3
 
     except UsageError as e:

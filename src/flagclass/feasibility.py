@@ -4,11 +4,11 @@ Two problem shapes cover everything the classifier needs: strict sign
 systems (is there a point with prescribed strict signs on a family of
 functionals) and positive kernels (is there a strictly positive solution
 of a homogeneous equality system).  Both are decided by one integer
-Fourier-Motzkin elimination, so answers are exact and samples rational.
-The run that derives 0 > 0 returns checked Farkas weights on its input
-rows.  For an infeasible positive kernel they are turned into a dual
-certificate, a combination of the equality rows that is nonnegative and
-nonzero, by one reduction of [E | I], made for infeasible kernels only.
+Fourier-Motzkin elimination, whose equality rows are first removed by
+substitution, so answers are exact and samples rational.  The run that
+derives 0 > 0 returns checked Farkas weights on its input rows; for a
+positive kernel, minus the weights on the equality rows is the dual
+certificate, a combination of them that is nonnegative and nonzero.
 """
 from __future__ import annotations
 
@@ -40,32 +40,55 @@ def _as_fractions(row) -> Row:
     return tuple(Fraction(x) for x in row)
 
 
-def _combine(p, q, k: int):
-    """Positive combination of p (coeff at k > 0) and q (< 0) killing x_k, in lowest terms."""
-    a, b = -q[0][k], p[0][k]
+def _combine(p, q, a: int, b: int):
+    """The row (a p + b q) / g in lowest terms; a > 0, and b < 0 only when q is an equality."""
     coeffs = [a * pc + b * qc for pc, qc in zip(p[0], q[0])]
     g = math.gcd(*coeffs) or 1
     return tuple(c // g for c in coeffs), p[1] or q[1], (p, q, a, b, g)
 
 
-def _eliminate(rows, n: int):
+def _substitute(p, q, k: int):
+    """p with x_k removed by the equality row q, whose coefficient at k is nonzero."""
+    if not p[0][k]:
+        return p
+    sign = 1 if q[0][k] > 0 else -1
+    return _combine(p, q, sign * q[0][k], -sign * p[0][k])
+
+
+def _eliminate(rows, n: int, equalities=()):
     """Fourier-Motzkin elimination: (sample, None) or (None, Farkas weights).
 
-    Rows are (int coeffs, strict, origin), origin the input index or
-    (p, q, a, b, g) for the derived row (a p + b q) / g.  Variables go from
-    the highest index down; the rows recorded per variable drive the back
-    substitution, each value picked deterministically inside its interval.
+    Rows are (int coeffs, strict, origin), origin the input index (the
+    equalities follow the rows) or (p, q, a, b, g) for the derived row
+    (a p + b q) / g.  Each equality row in turn removes its lowest nonzero
+    column, its pivot, from every later equality and every inequality; these
+    are the pivots of the reduced row echelon form.  FM then takes the free
+    variables from the highest index down; the rows recorded per variable
+    drive the back substitution, each value picked deterministically inside
+    its interval, and the pivots are filled last, in reverse order.
     """
-    inputs, current = [], []
-    for i, r in enumerate(rows):
-        coeffs = _as_fractions(r.coeffs)
+    given = [(r.coeffs, bool(r.strict)) for r in rows] + [(e, None) for e in equalities]
+    inputs, current, pending = [], [], []
+    for i, (coeffs, strict) in enumerate(given):
+        coeffs = _as_fractions(coeffs)
         if len(coeffs) != n:
             raise DimensionMismatchError(f"row of length {len(coeffs)}, expected {n}")
-        inputs.append((coeffs, r.strict))
-        current.append((tuple(map(int, scale_to_integers(coeffs))), r.strict, i))
+        inputs.append((coeffs, strict))
+        row = (tuple(map(int, scale_to_integers(coeffs))), bool(strict), i)
+        (current if strict is not None else pending).append(row)
+
+    pivots = []
+    while pending:
+        q = pending.pop(0)
+        k = next((j for j, c in enumerate(q[0]) if c), None)
+        if k is not None:
+            pivots.append((k, q))
+            pending = [_substitute(r, q, k) for r in pending]
+            current = [_substitute(r, q, k) for r in current]
+    pivot_columns = {k for k, _ in pivots}
 
     levels = []
-    for k in range(n - 1, -1, -1):
+    for k in (k for k in range(n - 1, -1, -1) if k not in pivot_columns):
         keep, pos, neg = [], [], []
         for r in current:
             if r[0][k] == 0:
@@ -76,7 +99,7 @@ def _eliminate(rows, n: int):
                 neg.append(r)
         levels.append((k, pos + neg))
         best = {}
-        for r in keep + [_combine(p, q, k) for p in pos for q in neg]:
+        for r in keep + [_combine(p, q, -q[0][k], p[0][k]) for p in pos for q in neg]:
             if r[0] not in best or (r[1] and not best[r[0]][1]):
                 best[r[0]] = r
         current = [best[c] for c in sorted(best) if any(c) or best[c][1]]
@@ -110,13 +133,17 @@ def _eliminate(rows, n: int):
                 lower[0] == upper[0] and not (lower[1] or upper[1])
             ), "elimination left an empty interval"
             x[k] = (lower[0] + upper[0]) / 2
+    for k, q in reversed(pivots):
+        rest = sum((c * x[j] for j, c in enumerate(q[0]) if c and j != k), Fraction(0))
+        x[k] = -rest / q[0][k]
     return tuple(x), None
 
 
 def _farkas_weights(zero_row, inputs, n: int) -> tuple[Fraction, ...]:
-    """Checked w >= 0, positive on a strict row, with sum w_i row_i = 0 on the rows as given.
+    """Checked w with sum w_i row_i = 0 on the rows as given, positive on a strict row.
 
-    Input rescale factors are folded back in.  Parents are shared: memoise by identity.
+    w >= 0 except on the equality rows, which may take either sign.  Input
+    rescale factors are folded back in.  Parents are shared: memoise by identity.
     """
     memo: dict[int, list[Fraction]] = {}
 
@@ -133,7 +160,11 @@ def _farkas_weights(zero_row, inputs, n: int) -> tuple[Fraction, ...]:
 
     w = weights(zero_row)
     combo = [sum(wi * row[j] for wi, (row, _) in zip(w, inputs)) for j in range(n)]
-    if min(w) < 0 or any(combo) or not any(wi and strict for wi, (_, strict) in zip(w, inputs)):
+    if (
+        any(wi < 0 for wi, (_, strict) in zip(w, inputs) if strict is not None)
+        or any(combo)
+        or not any(wi and strict for wi, (_, strict) in zip(w, inputs))
+    ):
         raise InvariantViolationError("Farkas weights of an infeasible system fail verification")
     return tuple(w)
 
@@ -141,41 +172,6 @@ def _farkas_weights(zero_row, inputs, n: int) -> tuple[Fraction, ...]:
 def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
     """A rational point satisfying every homogeneous row, or None after checked Farkas weights."""
     return _eliminate(rows, n)[0]
-
-
-def rref(rows: list[Row], n: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    mat = [list(_as_fractions(r)) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [c * inv for c in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in mat[:rank]], pivots
-
-
-def null_space_basis(rows: list[Row], n: int) -> list[Row]:
-    """Basis of {x : row . x = 0 for all rows}, one vector per free column."""
-    reduced, pivots = rref(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            vec[p] = -r[f]
-        basis.append(tuple(vec))
-    return basis
 
 
 def scale_to_integers(vec) -> tuple[Fraction, ...]:
@@ -186,29 +182,14 @@ def scale_to_integers(vec) -> tuple[Fraction, ...]:
     return tuple(Fraction(i // g) for i in ints)
 
 
-def _positive_combination_certificate(eq_rows: list[Row], n: int, z: Row) -> Row:
-    """Multipliers y with y^T E = z, for z >= 0 and nonzero in the row space of E.
-
-    Reducing [E | I], pivoting in the first n columns, gives rows [B_i | T_i]
-    with B_i = T_i . E in reduced echelon form, so y = sum of z[p_i] T_i.
-    """
-    m_rows = len(eq_rows)
-    augmented = [(*row, *(int(r == k) for r in range(m_rows))) for k, row in enumerate(eq_rows)]
-    reduced, pivots = rref(augmented, n)
-    y = [sum(z[p] * t[n + r] for t, p in zip(reduced, pivots)) for r in range(m_rows)]
-    combo = [sum(yr * row[j] for yr, row in zip(y, eq_rows)) for j in range(n)]
-    if any(c < 0 for c in combo) or not any(combo):
-        raise InvariantViolationError("recovered dual certificate fails verification")
-    return tuple(y)
-
-
 def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
     """Decide E x = 0 with x strictly positive, exactly.
 
     The fast path rejects any equality whose nonzero coefficients share a
-    sign.  Otherwise positivity on a kernel basis goes to one elimination:
-    its sample is rescaled to small integers, or its weights z >= 0 are
-    orthogonal to the kernel, hence a combination of the equality rows.
+    sign.  Otherwise one elimination of x_k > 0 for every k, subject to
+    E x = 0: its sample is rescaled to small integers, or its weights u on
+    the equality rows have -u^T E equal to its weights on x > 0, so y = -u
+    is the certificate.
     """
     rows = [_as_fractions(r) for r in eq_rows]
     for r in rows:
@@ -221,12 +202,15 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
             cert[i] = Fraction(1) if nonzero[0] > 0 else Fraction(-1)
             return FeasibilityResult(False, None, tuple(cert))
 
-    basis = null_space_basis(rows, n)
-    positivity = [StrictRow(tuple(b[i] for b in basis)) for i in range(n)]
-    w, z = _eliminate(positivity, len(basis))
-    if w is None:
-        return FeasibilityResult(False, None, _positive_combination_certificate(rows, n, z))
-    x = scale_to_integers([sum(wj * b[i] for wj, b in zip(w, basis)) for i in range(n)])
+    positivity = [StrictRow(tuple(int(j == k) for j in range(n))) for k in range(n)]
+    x, w = _eliminate(positivity, n, rows)
+    if x is None:
+        y = tuple(-u for u in w[n:])
+        combo = [sum(yr * row[j] for yr, row in zip(y, rows)) for j in range(n)]
+        if any(c < 0 for c in combo) or not any(combo):
+            raise InvariantViolationError("dual certificate fails verification")
+        return FeasibilityResult(False, None, y)
+    x = scale_to_integers(x)
     for r in rows:
         if sum(c * v for c, v in zip(r, x)) != 0:
             raise InvariantViolationError("kernel sample violates an equality row")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,30 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["s"] == 3
 
 
+def test_out_to_a_pipe_or_symlink_is_written_in_place(capsys, tmp_path):
+    expected = run_cli(capsys, "info", "--type", "A2", "--theta")[1]
+    # a symlink (like /dev/stdout) must stay a link, with the report in its target
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("older\n")
+    link.symlink_to(target)
+    assert run_cli(capsys, "info", "--type", "A2", "--theta", "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+    # a pipe cannot be replaced by a renamed file; it must stay a pipe and get the report
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, "info", "--type", "A2", "--theta", "--out", str(pipe))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0
+    assert pipe.is_fifo()
+    assert received == [expected]
+
+
 def test_env_var_overrides_out(capsys, tmp_path, monkeypatch):
     flag_target = tmp_path / "ignored.json"
     env_target = tmp_path / "wins.json"
@@ -172,6 +197,23 @@ def test_sweep_is_byte_idempotent(capsys, tmp_path):
     run_cli(capsys, "sweep", "--max-rank", "2", "--out", str(out))
     second = {p.name: p.read_bytes() for p in out.glob("*.json")}
     assert first == second
+
+
+def test_sweep_write_failure_leaves_the_old_tree(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "sweep"
+    run_cli(capsys, "sweep", "--max-rank", "2", "--out", str(out))
+    for p in out.iterdir():  # stand-ins for the reports of an older run
+        p.write_text(f"older {p.name}\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("injected replace failure")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected replace failure"):
+        cli.run_sweep(2, out, cli.DEFAULT_IACS_CAP)
+    # iterdir also lists a leftover temp file, which would break the equality
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_sweep_without_out_is_usage_error(capsys, monkeypatch):

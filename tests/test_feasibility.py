@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from flagclass.errors import DimensionMismatchError
 from flagclass.feasibility import (
     StrictRow,
-    null_space_basis,
-    rref,
     scale_to_integers,
     solve_positive_kernel,
     solve_strict_rows,
@@ -66,16 +64,6 @@ def test_row_length_checked():
         solve_strict_rows([StrictRow((Fraction(1),))], 2)
 
 
-def test_rref_and_null_space():
-    rows = [(1, 1, -1), (1, -1, 1)]
-    reduced, pivots = rref(rows, 3)
-    assert pivots == [0, 1]
-    basis = null_space_basis(rows, 3)
-    assert len(basis) == 1
-    for r in rows:
-        assert sum(c * v for c, v in zip(r, basis[0])) == 0
-
-
 def test_scale_to_integers():
     assert scale_to_integers((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
     assert scale_to_integers((Fraction(2), Fraction(4))) == (1, 2)
@@ -115,9 +103,10 @@ def test_kernel_no_equations_vacuous():
 
 
 def test_kernel_full_rank_infeasible():
-    # the second system has no single-signed row, so it passes the fast path
-    for rows in ([(1, 0), (0, 1)], [(1, -1), (1, -2)]):
-        res = solve_positive_kernel(rows, 2)
+    # the last two systems have no single-signed row, so they pass the fast
+    # path; the last one is rank-deficient, so its certificate is not unique
+    for rows in ([(1, 0), (0, 1)], [(1, -1), (1, -2)], [(1, 1, -1), (1, -1, 1), (2, 2, -2)]):
+        res = solve_positive_kernel(rows, len(rows[0]))
         assert not res.feasible
         check_certificate(rows, res.certificate)
 
@@ -125,6 +114,12 @@ def test_kernel_full_rank_infeasible():
 def test_kernel_deterministic():
     rows = [(1, 2, -1, 0), (0, 1, 1, -1)]
     assert solve_positive_kernel(rows, 4) == solve_positive_kernel(rows, 4)
+    # x3 and x4 are free; the sample is the one fixed by the elimination
+    # order, and a dependent row (the sum of the two) must not move it
+    for system in (rows, [*rows, (1, 3, 0, -1)]):
+        res = solve_positive_kernel(system, 4)
+        assert res.feasible
+        assert res.sample == (2, 1, 4, 5)
 
 
 small_int = st.integers(min_value=-4, max_value=4)
@@ -186,6 +181,15 @@ def random_kernel_instances(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=4))
     rows = [tuple(draw(small_int) for _ in range(n)) for _ in range(m)]
+    # sometimes append a dependent row, so that E is rank-deficient and the
+    # certificate multipliers are not unique
+    extra = draw(st.sampled_from(["none", "sum", "multiple"]))
+    if extra == "sum":
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(tuple(x + y for x, y in zip(a, b)))
+    elif extra == "multiple":
+        k = draw(st.integers(min_value=-3, max_value=3))
+        rows.append(tuple(k * x for x in draw(st.sampled_from(rows))))
     return rows, n
 
 

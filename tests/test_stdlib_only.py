@@ -1,0 +1,26 @@
+"""The runtime imports only the standard library; numpy and hypothesis stay test-only."""
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "flagclass"
+
+
+def test_runtime_imports_only_the_standard_library():
+    files = sorted(SRC.glob("*.py"))
+    assert files, SRC
+    outside = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
