@@ -1,10 +1,18 @@
 """Structure constants on a Weyl-normalized root-vector basis.
 
-The integer Chevalley constants are built first, with the sign convention
-that extraspecial pairs get a positive constant.  Rescaling each root
-vector by sqrt((a,a)/2) then makes the invariant form pair X_a against
-X_{-a} to 1, which is the normalization the classification formulas need.
-The rescaled constants live in the real field Q(sqrt2, sqrt3); no floats.
+The integer Chevalley constants on positive pairs are built first, with the
+sign convention that extraspecial pairs get a positive constant.  Rescaling
+each root vector by scale(a) = sqrt((a,a)/2) then makes the invariant form
+pair X_a against X_{-a} to 1, which is the normalization the classification
+formulas need.  A positive pair (x, y) has its constant multiplied by
+scale(x) * scale(y) / scale(x+y) = sqrt((x,x)(y,y) / (2(x+y,x+y))): one
+square root of one rational, equal because every factor is positive, so no
+division in the field is needed.  Because the form pairs every X_a with
+X_{-a} to the same 1, its invariance reads n_{a,b} = n_{b,c} = n_{c,a} on
+each zero-sum triple a + b + c = 0, with none of the length ratios the
+integer constants carry; that identity, antisymmetry and n_{-a,-b} = -n_{a,b}
+give every other pair.  The constants live in the real field
+Q(sqrt2, sqrt3); no floats.
 """
 from __future__ import annotations
 
@@ -36,10 +44,6 @@ class ExtScalar:
     @classmethod
     def from_rational(cls, r) -> "ExtScalar":
         return cls(Q(r), Q(0), Q(0), Q(0))
-
-    @classmethod
-    def zero(cls) -> "ExtScalar":
-        return cls(Q(0), Q(0), Q(0), Q(0))
 
     @classmethod
     def sqrt_rational(cls, r) -> "ExtScalar":
@@ -76,9 +80,6 @@ class ExtScalar:
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)
 
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
-
     def __add__(self, o: "ExtScalar") -> "ExtScalar":
         return ExtScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
@@ -102,23 +103,6 @@ class ExtScalar:
         )
 
     __rmul__ = __mul__
-
-    def _conj2(self) -> "ExtScalar":
-        return ExtScalar(self.a, -self.b, self.c, -self.d)
-
-    def _conj3(self) -> "ExtScalar":
-        return ExtScalar(self.a, self.b, -self.c, -self.d)
-
-    def inverse(self) -> "ExtScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("ExtScalar inverse of zero")
-        z = self * self._conj2()          # lands in Q(sqrt3)
-        norm = z * z._conj3()             # rational
-        assert norm.is_rational() and norm.a != 0
-        return self._conj2() * z._conj3() * (Q(1) / norm.a)
-
-    def __truediv__(self, o: "ExtScalar") -> "ExtScalar":
-        return self * o.inverse()
 
     def __repr__(self) -> str:
         parts = []
@@ -195,42 +179,20 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
     return table
 
 
-def _chevalley_value(rs: RootSystem, table, order, a: Root, b: Root) -> Q:
-    """Constant for an arbitrary ordered root pair, from the positive table."""
-    apos, bpos = a.is_positive(), b.is_positive()
-    if apos and bpos:
-        return _n_pos(table, order, a, b)
-    if not apos and not bpos:
-        return -_chevalley_value(rs, table, order, -a, -b)
-    if not apos:
-        return -_chevalley_value(rs, table, order, b, a)
-    # a positive, b negative
-    c = a + b
-    if c.is_positive():
-        # invariance on the zero-sum triple (a, b, -c)
-        return -(_length(rs, c) / _length(rs, a)) * _n_pos(table, order, -b, c)
-    return -(_length(rs, c) / _length(rs, b)) * _n_pos(table, order, a, -c)
-
-
 @functools.lru_cache(maxsize=None)
 def compute_structure_constants(rs: RootSystem) -> StructureConstants:
-    """Full Weyl-normalized constant table for every bracketable root pair."""
-    postable = _chevalley_positive_table(rs)
-    order = {r: i for i, r in enumerate(rs.positive_roots)}
-    scale: dict[Root, ExtScalar] = {}
-    for r in rs.all_roots:
-        scale[r] = ExtScalar.sqrt_rational(inner_product(rs, r, r) / 2)
+    """Full Weyl-normalized constant table for every bracketable root pair.
 
+    Each positive pair (x, y) with x + y = s fills the six ordered pairs of
+    the zero-sum triple (x, y, -s) and the six of its negation.
+    """
     table: dict[tuple[Root, Root], ExtScalar] = {}
-    for a in rs.all_roots:
-        for b in rs.all_roots:
-            s = a + b
-            if s not in rs.root_set:
-                continue
-            chev = _chevalley_value(rs, postable, order, a, b)
-            value = (scale[a] * scale[b] / scale[s]) * chev
-            assert not value.is_zero()
-            table[(a, b)] = value
+    for (x, y), chev in _chevalley_positive_table(rs).items():
+        s = x + y
+        n = ExtScalar.sqrt_rational(_length(rs, x) * _length(rs, y) / (2 * _length(rs, s))) * chev
+        for a, b in ((x, y), (y, -s), (-s, x)):
+            table[(a, b)], table[(b, a)] = n, -n
+            table[(-a, -b)], table[(-b, -a)] = -n, n
     return StructureConstants(rs, table)
 
 

@@ -401,13 +401,13 @@ def build_parser() -> _Parser:
         p.add_argument("--paint", help="painted indices instead; the complement of --theta")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
 
     p_info = sub.add_parser("info", help="shape of one flag")
     add_flag_args(p_info)
 
     p_classify = sub.add_parser("classify", help="classify every structure on one flag")
     add_flag_args(p_classify)
+    p_classify.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
 
     p_sweep = sub.add_parser("sweep", help="classification reports for every small flag")
     p_sweep.add_argument("--max-rank", type=_int_at_least(1), default=2)
@@ -436,6 +436,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    out = None
     try:
         args = parser.parse_args(argv)
         out = _resolve_out(args)
@@ -470,11 +471,11 @@ def main(argv=None) -> int:
             _write_atomic(Path(out), text)
         return 0 if ok else 3
 
-    except UsageError as e:
+    except (UsageError, InvalidLieTypeError, NotAFlagManifoldError, InvalidInputError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (InvalidLieTypeError, NotAFlagManifoldError, InvalidInputError) as e:
-        print(f"usage error: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"usage error: cannot write {out or 'stdout'}: {e.strerror or e}", file=sys.stderr)
         return 1
     except CapExceededError as e:
         print(f"cap exceeded: {e}", file=sys.stderr)

@@ -32,12 +32,6 @@ class TestExtScalar:
         assert s2 * s6 == ext(c=2)
         assert s3 * s6 == ext(b=3)
 
-    def test_inverse_roundtrip(self):
-        x = ext(a=Q(1, 2), b=3, c=Q(-2, 5), d=1)
-        assert x * x.inverse() == ext(a=1)
-        y = ext(b=Q(1, 2))
-        assert y.inverse() == ext(b=1)  # 1/(s2/2) = s2
-
     def test_sqrt_rational(self):
         assert ExtScalar.sqrt_rational(Q(1, 2)) == ext(b=Q(1, 2))
         assert ExtScalar.sqrt_rational(Q(1, 3)) == ext(c=Q(1, 3))
@@ -131,6 +125,28 @@ def test_magnitude_law(t):
     sc = compute_structure_constants(rs)
     for (a, b), n in sc.table.items():
         assert sq(n) == magnitude_oracle(rs, a, b), (t, a, b)
+
+
+@pytest.mark.parametrize("t", DESK_TYPES + [LieType("F", 4)], ids=str)
+def test_extraspecial_pairs_are_positive(t):
+    """The sign convention: for each positive gamma that is a sum of two positive
+    roots, the pair (alpha, gamma - alpha) with alpha lowest in root order has
+    a positive constant."""
+    rs = build_root_system(t)
+    sc = compute_structure_constants(rs)
+    pos = rs.positive_roots
+    posset = set(pos)
+    pairs = []
+    for gamma in pos:
+        alpha = next((a for a in pos if gamma - a in posset), None)
+        if alpha is not None:
+            pairs.append((alpha, gamma - alpha))
+    # every positive root but the simple ones is a sum of two positive roots
+    assert len(pairs) == len(pos) - rs.rank
+    for a, b in pairs:
+        n = sc.table[(a, b)]
+        # nonzero with no negative coordinate on 1, sqrt2, sqrt3, sqrt6: positive
+        assert not n.is_zero() and min(n.a, n.b, n.c, n.d) >= 0, (t, a, b, n)
 
 
 @pytest.mark.parametrize("t", DESK_TYPES, ids=str)

@@ -66,6 +66,7 @@ def test_paint_is_the_complement(capsys):
         ("info", "--type", "A1", "--theta", "1"),
         ("info", "--type", "Z9"),
         ("info", "--type", "A3", "--rank", "3"),
+        ("info", "--type", "A2", "--iacs-cap", "3"),
         ("classify",),
         ("classify", "--type", "A2", "--theta", "--iacs-cap", "-1"),
         ("verify", "--max-rank", "0"),
@@ -144,6 +145,31 @@ def test_out_to_a_pipe_or_symlink_is_written_in_place(capsys, tmp_path):
     assert code == 0
     assert pipe.is_fifo()
     assert received == [expected]
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (("classify", "--type", "A2"), "missing-parent"),
+        (("classify", "--type", "A2", "--theta="), "directory"),
+        (("sweep", "--max-rank", "1"), "regular-file"),
+    ],
+)
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, monkeypatch, command, target):
+    monkeypatch.delenv("FLAGCLASS_OUT", raising=False)
+    path = tmp_path / "out"
+    if target == "missing-parent":
+        path = tmp_path / "nonexistent" / "x.json"
+    elif target == "directory":
+        path.mkdir()
+    else:
+        path.write_text("a regular file\n")
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run_cli(capsys, *command, "--out", str(path))
+    assert code == 1
+    assert err.startswith(f"usage error: cannot write {path}: ")
+    # no temp file is left beside the target
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_env_var_overrides_out(capsys, tmp_path, monkeypatch):
