@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import CartanBracketError, RootArgumentError
 from .rootsys import Root, RootSystem, inner_product, root_string
@@ -206,6 +207,17 @@ def bracket_coefficient(sc: StructureConstants, a: Root, b: Root) -> ExtScalar:
     return sc.table.get((a, b), EXT_ZERO)
 
 
+# ExtScalar's components a, b, c, d are the coefficients of these radicals, and
+# _RADICAL_PRODUCT[(r1, r2)] = (r, k) says sqrt(r1) * sqrt(r2) = k * sqrt(r)
+_RADICALS = (1, 2, 3, 6)
+_RADICAL_PRODUCT = {
+    (1, 1): (1, 1), (1, 2): (2, 1), (1, 3): (3, 1), (1, 6): (6, 1),
+    (2, 1): (2, 1), (2, 2): (1, 2), (2, 3): (6, 1), (2, 6): (3, 2),
+    (3, 1): (3, 1), (3, 2): (6, 1), (3, 3): (1, 3), (3, 6): (2, 3),
+    (6, 1): (6, 1), (6, 2): (3, 2), (6, 3): (2, 3), (6, 6): (1, 6),
+}
+
+
 @dataclass(frozen=True)
 class JacobiReport:
     ok: bool
@@ -215,54 +227,87 @@ class JacobiReport:
 def verify_jacobi(sc: StructureConstants) -> JacobiReport:
     """Check the Jacobi identity on every root triple with a bracketable pair.
 
-    Cartan directions are tracked through the coefficient vectors: with the
-    normalization here, [X_r, X_{-r}] corresponds to the functional r itself,
-    and [H, X_r] multiplies X_r by the pairing (r, h).
+    [[X_x, X_y], X_z] lies in g_{x+y+z}, which is zero unless x + y + z is a
+    root or zero (the root-space grading).  So for each bracketable pair
+    (a, b) only the roots c with a + b + c in R or 0 are visited, in root
+    order: on every other triple all three terms vanish.  Cartan directions
+    are tracked through the coefficient vectors: with the normalization
+    here, [X_r, X_{-r}] corresponds to the functional r itself, and
+    [H, X_r] multiplies X_r by the pairing (r, h).
+
+    Each entry is split once into its nonzero (radical, rational) terms on
+    the radicals 1, sqrt2, sqrt3 and sqrt6.  Products of terms follow the
+    fixed rule sqrt(r1) * sqrt(r2) = k * sqrt(r), and sums are kept per
+    radical.  The four radicals are linearly independent over Q, so a sum
+    is zero exactly when each radical's part is zero.
     """
     rs = sc.rs
-    roots = rs.all_roots
-    zero = Root(tuple(0 for _ in range(rs.rank)))
-    table = sc.table
+    # label roots by their place in coordinate order, so a sorted label
+    # triple is the triple sorted by coordinates; the zero vector comes last
+    ordered = sorted(rs.all_roots, key=lambda r: r.coords)
+    zero = len(ordered)
+    label = {r.coords: i for i, r in enumerate(ordered)}
+    label[(0,) * rs.rank] = zero
+    plus = [[label.get(tuple(map(add, a.coords, b.coords))) for b in ordered] for a in ordered]
+    visit = [label[r.coords] for r in rs.all_roots]
+    terms = {
+        (label[a.coords], label[b.coords]): tuple(
+            (r, q) for r, q in zip(_RADICALS, (v.a, v.b, v.c, v.d)) if q
+        )
+        for (a, b), v in sc.table.items()
+    }
+    pairings: dict[tuple[int, int], Q] = {}
 
-    def term(x: Root, y: Root, z: Root) -> ExtScalar:
-        # coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
-        s = x + y
+    def add_term(acc: dict[int, Q], x: int, y: int, z: int) -> None:
+        # adds the coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
+        s = plus[x][y]
         if s == zero:
-            return ExtScalar.from_rational(inner_product(rs, z, x))
-        n1 = table.get((x, y))
-        if n1 is None:
-            return EXT_ZERO
-        n2 = table.get((s, z))
-        if n2 is None:
-            return EXT_ZERO
-        return n1 * n2
+            p = pairings.get((z, x))
+            if p is None:
+                p = pairings[(z, x)] = inner_product(rs, ordered[z], ordered[x])
+            acc[1] = acc.get(1, 0) + p
+            return
+        t1 = terms.get((x, y))
+        t2 = terms.get((s, z))
+        if t1 is None or t2 is None:
+            return
+        for r1, q1 in t1:
+            for r2, q2 in t2:
+                r, k = _RADICAL_PRODUCT[(r1, r2)]
+                acc[r] = acc.get(r, 0) + k * q1 * q2
 
-    pairs = []
-    for i, a in enumerate(roots):
-        for b in roots[i + 1:]:
-            s = a + b
-            if s == zero or s in rs.root_set:
-                pairs.append((a, b))
-
-    seen: set[tuple[Root, Root, Root]] = set()
-    for a, b in pairs:
-        for c in roots:
-            if c == a or c == b:
+    partners: dict[int, list[int]] = {zero: visit}
+    seen: set[tuple[int, ...]] = set()
+    for i, a in enumerate(visit):
+        for b in visit[i + 1:]:
+            s = plus[a][b]
+            if s is None:
                 continue
-            key = tuple(sorted((a, b, c), key=lambda r: r.coords))
-            if key in seen:
-                continue
-            seen.add(key)
-            x, y, z = key
-            if x + y + z == zero:
-                # residue is a Cartan vector: n_{x,y} z + n_{y,z} x + n_{z,x} y
-                nxy, nyz, nzx = table[(x, y)], table[(y, z)], table[(z, x)]
-                for i in range(rs.rank):
-                    resid = nxy * z.coords[i] + nyz * x.coords[i] + nzx * y.coords[i]
-                    if not resid.is_zero():
-                        return JacobiReport(False, (x, y, z))
-            else:
-                total = term(x, y, z) + term(y, z, x) + term(z, x, y)
-                if not total.is_zero():
-                    return JacobiReport(False, (x, y, z))
+            if s not in partners:
+                partners[s] = [c for c in visit if plus[s][c] is not None]
+            for c in partners[s]:
+                if c == a or c == b:
+                    continue
+                key = tuple(sorted((a, b, c)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                x, y, z = key
+                if s != zero and plus[s][c] == zero:
+                    # residue is a Cartan vector: n_{x,y} z + n_{y,z} x + n_{z,x} y
+                    resid: dict[int, list[Q]] = {}
+                    for pair, w in (((x, y), z), ((y, z), x), ((z, x), y)):
+                        for r, q in terms[pair]:
+                            vec = resid.setdefault(r, [0] * rs.rank)
+                            for j, wj in enumerate(ordered[w].coords):
+                                vec[j] += q * wj
+                    failed = any(any(vec) for vec in resid.values())
+                else:
+                    acc: dict[int, Q] = {}
+                    add_term(acc, x, y, z)
+                    add_term(acc, y, z, x)
+                    add_term(acc, z, x, y)
+                    failed = any(acc.values())
+                if failed:
+                    return JacobiReport(False, (ordered[x], ordered[y], ordered[z]))
     return JacobiReport(True, None)

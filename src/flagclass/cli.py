@@ -49,6 +49,10 @@ from .weyl import WEYL_CAP, a_theta, generate_weyl, weyl_order
 SCHEMA = "flagclass/1"
 DEFAULT_IACS_CAP = 12
 DEFAULT_VERIFY_RANK = 4
+# Largest `verify --max-rank`.  Rank 6 is the largest the acceptance suite
+# runs Jacobi and t-root connectivity on; at rank 7 the Weyl groups of B7 and
+# C7 (645,120 elements) sit under WEYL_CAP and would be enumerated in full.
+VERIFY_RANK_CAP = 6
 
 
 class UsageError(Exception):
@@ -314,6 +318,10 @@ class _CheckTally:
 
 
 def run_verify(max_rank: int, iacs_cap: int, weyl_cap: int) -> tuple[list[str], bool]:
+    if max_rank > VERIFY_RANK_CAP:
+        raise CapExceededError(
+            f"verify up to rank {max_rank} exceeds the rank cap of {VERIFY_RANK_CAP}"
+        )
     jacobi = _CheckTally("jacobi")
     root_conn = _CheckTally("root-connectivity")
     troot_conn = _CheckTally("t-root-connectivity")

@@ -7,6 +7,7 @@ import pytest
 
 from flagclass.chevalley import (
     ExtScalar,
+    JacobiReport,
     StructureConstants,
     bracket_coefficient,
     compute_structure_constants,
@@ -149,7 +150,85 @@ def test_extraspecial_pairs_are_positive(t):
         assert not n.is_zero() and min(n.a, n.b, n.c, n.d) >= 0, (t, a, b, n)
 
 
-@pytest.mark.parametrize("t", DESK_TYPES, ids=str)
+def _jacobi_oracle(sc: StructureConstants) -> JacobiReport:
+    """Jacobi on every root c for every bracketable pair, in ExtScalar arithmetic.
+
+    No grading is used: triples whose sum is neither a root nor zero are
+    evaluated too, and each product is a full ExtScalar product.
+    """
+    rs = sc.rs
+    roots = rs.all_roots
+    zero = Root(tuple(0 for _ in range(rs.rank)))
+    table = sc.table
+
+    def term(x: Root, y: Root, z: Root) -> ExtScalar:
+        # coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
+        s = x + y
+        if s == zero:
+            return ExtScalar.from_rational(inner_product(rs, z, x))
+        n1 = table.get((x, y))
+        if n1 is None:
+            return ext()
+        n2 = table.get((s, z))
+        if n2 is None:
+            return ext()
+        return n1 * n2
+
+    pairs = []
+    for i, a in enumerate(roots):
+        for b in roots[i + 1:]:
+            s = a + b
+            if s == zero or s in rs.root_set:
+                pairs.append((a, b))
+
+    seen: set[tuple[Root, Root, Root]] = set()
+    for a, b in pairs:
+        for c in roots:
+            if c == a or c == b:
+                continue
+            key = tuple(sorted((a, b, c), key=lambda r: r.coords))
+            if key in seen:
+                continue
+            seen.add(key)
+            x, y, z = key
+            if x + y + z == zero:
+                # residue is a Cartan vector: n_{x,y} z + n_{y,z} x + n_{z,x} y
+                nxy, nyz, nzx = table[(x, y)], table[(y, z)], table[(z, x)]
+                for i in range(rs.rank):
+                    resid = nxy * z.coords[i] + nyz * x.coords[i] + nzx * y.coords[i]
+                    if not resid.is_zero():
+                        return JacobiReport(False, (x, y, z))
+            else:
+                total = term(x, y, z) + term(y, z, x) + term(z, x, y)
+                if not total.is_zero():
+                    return JacobiReport(False, (x, y, z))
+    return JacobiReport(True, None)
+
+
+SINGLE_ENTRY_FAULTS = {
+    "negate": lambda n: -n,
+    "double": lambda n: n + n,
+    "times-sqrt2": lambda n: n * ext(b=1),
+    "times-sqrt3": lambda n: n * ext(c=1),
+    "plus-one": lambda n: n + ext(a=1),
+}
+
+
+@pytest.mark.parametrize(
+    "t", [LieType.parse(name) for name in ("A2", "B2", "G2", "A3", "B3", "C3")], ids=str
+)
+def test_jacobi_matches_oracle_on_single_entry_faults(t):
+    """Each table with one entry faulted gets the oracle's verdict and first failing triple."""
+    rs = build_root_system(t)
+    table = compute_structure_constants(rs).table
+    for key, n in table.items():
+        for name, fault in SINGLE_ENTRY_FAULTS.items():
+            sc = StructureConstants(rs, {**table, key: fault(n)})
+            got, want = verify_jacobi(sc), _jacobi_oracle(sc)
+            assert (got.ok, got.counterexample) == (want.ok, want.counterexample), (key, name)
+
+
+@pytest.mark.parametrize("t", DESK_TYPES + [LieType("F", 4)], ids=str)
 def test_jacobi_holds(t):
     rs = build_root_system(t)
     sc = compute_structure_constants(rs)
@@ -177,12 +256,15 @@ def test_table_is_deterministic():
 
 
 def test_table_covers_exactly_bracketable_pairs():
-    rs = build_root_system(LieType("G", 2))
-    sc = compute_structure_constants(rs)
-    expected = sum(
-        1
-        for a in rs.all_roots
-        for b in rs.all_roots
-        if (a + b) in rs.root_set
-    )
-    assert len(sc.table) == expected
+    """The keys are exactly the pairs with a + b a root, so the graded Jacobi
+    check, which reads only those, skips no entry of the table."""
+    for t in DESK_TYPES + [LieType("F", 4)]:
+        rs = build_root_system(t)
+        sc = compute_structure_constants(rs)
+        expected = {
+            (a, b)
+            for a in rs.all_roots
+            for b in rs.all_roots
+            if (a + b) in rs.root_set
+        }
+        assert set(sc.table) == expected, t

@@ -326,6 +326,13 @@ def test_verify_rank_two_all_pass(capsys):
     }
 
 
+def test_verify_rank_cap_exits_two_before_any_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-rank", "7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cap exceeded:")
+
+
 def test_verify_writes_out_file(capsys, tmp_path):
     target = tmp_path / "checks.txt"
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "1", "--out", str(target))
