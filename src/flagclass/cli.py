@@ -96,9 +96,10 @@ def _parse_index_list(text: str, rank: int, label: str) -> tuple[int, ...]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.lstrip("-").isdigit():
-            raise UsageError(f"cannot read {label} entry {piece!r} as an integer")
-        k = int(piece)
+        try:
+            k = int(piece)
+        except ValueError:
+            raise UsageError(f"cannot read {label} entry {piece!r} as an integer") from None
         if not 1 <= k <= rank:
             raise UsageError(f"{label} index {k} out of range 1..{rank}")
         out.append(k)
@@ -425,7 +426,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
     p_verify.add_argument("--max-rank", type=_int_at_least(1), default=DEFAULT_VERIFY_RANK)
     p_verify.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
-    p_verify.add_argument("--weyl-cap", type=_int_at_least(0), default=WEYL_CAP)
+    p_verify.add_argument("--weyl-cap", type=_int_at_least(1), default=WEYL_CAP)
     p_verify.add_argument("--out", help="also write the check lines here")
 
     return parser

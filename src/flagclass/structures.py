@@ -113,9 +113,50 @@ def t_zero_sum_triples(ts: TRootSystem) -> tuple[ZeroSumTriple, ...]:
     return zero_sum_triples(fs)
 
 
+@lru_cache(maxsize=None)
+def _signed_members(ts: TRootSystem, t: ZeroSumTriple) -> tuple[tuple[int, int], ...]:
+    """(class index, sign) of each member of a triple, in member order."""
+    return tuple(ts.classify(_as_troot(m)) for m in t.members)
+
+
+@lru_cache(maxsize=None)
+def _signed_triples(ts: TRootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The signed members of every zero-sum triple, in t_zero_sum_triples order."""
+    return tuple(_signed_members(ts, t) for t in t_zero_sum_triples(ts))
+
+
+@lru_cache(maxsize=None)
+def _signed_pairs(ts: TRootSystem):
+    """(class index, sign) of d, e and d + e for each ordered pair with d + e in R_t.
+
+    Built from t-root sums, never from the triples, so both routes of
+    is_integrable keep independent data.
+    """
+    roots = ts.t_roots
+    return tuple(
+        (ts.classify(d), ts.classify(e), ts.classify(d + e))
+        for d in roots for e in roots if d + e in roots
+    )
+
+
+def _all_one_sign(j: IACS, signed) -> bool:
+    return len({sgn * j.signs[idx] for idx, sgn in signed}) == 1
+
+
+def _signed_row(j: IACS, signed, s: int) -> tuple[Fraction, ...]:
+    row = [Fraction(0)] * s
+    for idx, sgn in signed:
+        row[idx] += sgn * j.signs[idx]
+    return tuple(row)
+
+
+def _metric_constant(g: InvariantMetric, signed) -> bool:
+    return len({g.lambdas[idx] for idx, _ in signed}) == 1
+
+
 def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
-    values = {j.sign(ts, m) for m in t.members}
-    return TripleClass.ZERO_THREE if len(values) == 1 else TripleClass.ONE_TWO
+    one_sign = _all_one_sign(j, _signed_members(ts, t))
+    return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
 
 
 def is_integrable(j: IACS, ts: TRootSystem) -> bool:
@@ -124,20 +165,14 @@ def is_integrable(j: IACS, ts: TRootSystem) -> bool:
     Two routes are evaluated: the pairwise vanishing criterion and the absence
     of any all-equal-sign triple.  They must agree.
     """
-    pair_ok = True
-    for d in ts.t_roots:
-        for e in ts.t_roots:
-            if d + e not in ts.t_roots:
-                continue
-            ed, ee = j.sign(ts, d), j.sign(ts, e)
-            if ed * ee + 1 - j.sign(ts, d + e) * (ed + ee) != 0:
-                pair_ok = False
-                break
-        if not pair_ok:
-            break
-    triple_ok = all(
-        classify_triple(j, t, ts) is TripleClass.ONE_TWO for t in t_zero_sum_triples(ts)
+    pair_ok = all(
+        ed * ee + 1 == et * (ed + ee)
+        for ed, ee, et in (
+            (sd * j.signs[d], se * j.signs[e], st * j.signs[t])
+            for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
+        )
     )
+    triple_ok = not any(_all_one_sign(j, signed) for signed in _signed_triples(ts))
     if pair_ok != triple_ok:
         raise InvariantViolationError(
             f"integrability routes disagree on {ts.flag.label()}: "
@@ -185,27 +220,24 @@ def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
     return True
 
 
-def _positive_rep(ts: TRootSystem, member) -> TRoot:
-    idx, _ = ts.classify(_as_troot(member))
-    return ts.positive[idx]
-
-
 def c_of_j(j: IACS, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some all-equal-sign triple."""
-    out = set()
-    for t in t_zero_sum_triples(ts):
-        if classify_triple(j, t, ts) is TripleClass.ZERO_THREE:
-            out.update(_positive_rep(ts, m) for m in t.members)
-    return frozenset(out)
+    return frozenset(
+        ts.positive[idx]
+        for signed in _signed_triples(ts)
+        if _all_one_sign(j, signed)
+        for idx, _ in signed
+    )
 
 
 def c_of_g(g: InvariantMetric, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some constant-coefficient triple."""
-    out = set()
-    for t in t_zero_sum_triples(ts):
-        if len({g.value(ts, m) for m in t.members}) == 1:
-            out.update(_positive_rep(ts, m) for m in t.members)
-    return frozenset(out)
+    return frozenset(
+        ts.positive[idx]
+        for signed in _signed_triples(ts)
+        if _metric_constant(g, signed)
+        for idx, _ in signed
+    )
 
 
 def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
@@ -218,9 +250,9 @@ def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
     metric values, so only the direct per-triple test is authoritative.
     """
     direct = all(
-        len({g.value(ts, m) for m in t.members}) == 1
-        for t in t_zero_sum_triples(ts)
-        if classify_triple(j, t, ts) is TripleClass.ZERO_THREE
+        _metric_constant(g, signed)
+        for signed in _signed_triples(ts)
+        if _all_one_sign(j, signed)
     )
     if direct and not c_of_j(j, ts) <= c_of_g(g, ts):
         raise InvariantViolationError(
@@ -299,20 +331,16 @@ class QKFeasibility:
 
 def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[Fraction, ...]:
     """Coefficient row of the signed metric sum over one triple."""
-    row = [Fraction(0)] * len(ts.positive)
-    for m in t.members:
-        idx, sgn = ts.classify(_as_troot(m))
-        row[idx] += sgn * j.signs[idx]
-    return tuple(row)
+    return _signed_row(j, _signed_members(ts, t), len(ts.positive))
 
 
 def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     """Decide whether some positive metric zeroes every mixed-sign triple sum."""
     s = len(ts.positive)
     rows = [
-        triple_sum_row(j, t, ts)
-        for t in t_zero_sum_triples(ts)
-        if classify_triple(j, t, ts) is TripleClass.ONE_TWO
+        _signed_row(j, signed, s)
+        for signed in _signed_triples(ts)
+        if not _all_one_sign(j, signed)
     ]
     res = solve_positive_kernel(rows, s)
     return QKFeasibility(res.feasible, res.sample, tuple(rows), res.certificate)
@@ -327,7 +355,7 @@ def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     a closed non-integrable structure, which the classifier forbids.
     """
     s = len(ts.positive)
-    rows = [triple_sum_row(j, t, ts) for t in t_zero_sum_triples(ts)]
+    rows = [_signed_row(j, signed, s) for signed in _signed_triples(ts)]
     res = solve_positive_kernel(rows, s)
     return QKFeasibility(res.feasible, res.sample, tuple(rows), res.certificate)
 
@@ -336,9 +364,11 @@ def kahler_triple_sum(
     g: InvariantMetric, j: IACS, t: ZeroSumTriple, ts: TRootSystem
 ) -> Fraction:
     """Signed metric sum over one triple; zero on every triple means closed form."""
-    return sum(
-        (j.sign(ts, m) * g.value(ts, m) for m in t.members), start=Fraction(0)
-    )
+    return _metric_sum(g, triple_sum_row(j, t, ts))
+
+
+def _metric_sum(g: InvariantMetric, row: tuple[Fraction, ...]) -> Fraction:
+    return sum((c * lam for c, lam in zip(row, g.lambdas) if c), start=Fraction(0))
 
 
 def classify_structure(
@@ -351,11 +381,12 @@ def classify_structure(
     one is an internal contradiction rather than a label.
     """
     integrable = is_integrable(j, ts)
-    triples = t_zero_sum_triples(ts)
+    s = len(ts.positive)
     sums = [
-        (classify_triple(j, t, ts), kahler_triple_sum(g, j, t, ts)) for t in triples
+        (_all_one_sign(j, signed), _metric_sum(g, _signed_row(j, signed, s)))
+        for signed in _signed_triples(ts)
     ]
-    qk = all(v == 0 for cls, v in sums if cls is TripleClass.ONE_TWO)
+    qk = all(v == 0 for one_sign, v in sums if not one_sign)
     closed = all(v == 0 for _, v in sums)
     if closed and not integrable:
         raise InvariantViolationError(
@@ -433,8 +464,7 @@ def _forcing_iacs(ts: TRootSystem, t: ZeroSumTriple) -> IACS:
     forces the third member to vanish.
     """
     signs = [1] * len(ts.positive)
-    for m in t.members:
-        idx, sgn = ts.classify(_as_troot(m))
+    for idx, sgn in _signed_members(ts, t):
         signs[idx] = sgn
     j = IACS(tuple(signs))
     assert classify_triple(j, t, ts) is TripleClass.ZERO_THREE
@@ -454,7 +484,6 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
     s = len(ts.positive)
     if s > cap:
         raise CapExceededError(f"sweeping 2^{s} structures exceeds the cap 2^{cap}")
-    triples = t_zero_sum_triples(ts)
 
     parent = list(range(s))
 
@@ -467,10 +496,10 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
     components = s
     for signs in itertools.product((1, -1), repeat=s):
         j = IACS(signs)
-        for t in triples:
-            if classify_triple(j, t, ts) is not TripleClass.ZERO_THREE:
+        for signed in _signed_triples(ts):
+            if not _all_one_sign(j, signed):
                 continue
-            roots = {find(ts.classify(_as_troot(m))[0]) for m in t.members}
+            roots = {find(idx) for idx, _ in signed}
             anchor = roots.pop()
             for other in roots:
                 parent[other] = anchor

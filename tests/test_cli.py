@@ -1,4 +1,5 @@
 """Command line behavior: formats, exit codes, sweep determinism, verify wiring."""
+import hashlib
 import json
 import os
 import subprocess
@@ -71,12 +72,42 @@ def test_paint_is_the_complement(capsys):
         ("classify", "--type", "A2", "--theta", "--iacs-cap", "-1"),
         ("verify", "--max-rank", "0"),
         ("verify", "--max-rank", "2", "--weyl-cap", "-1"),
+        ("verify", "--max-rank", "2", "--weyl-cap", "0"),
+        ("info", "--type", "A3", "--theta", "--1"),
+        ("info", "--type", "A3", "--theta=--1"),
+        ("info", "--type", "A3", "--paint", "²"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "usage error" in err
+
+
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(BENCH_DIGESTS))
+def test_benchmark_commands_match_digests(capsys, tmp_path, command):
+    """Each benchmark command, run in-process, reproduces its stored exit code and bytes.
+
+    A sweep's stdout names its output directory, so only its files are compared.
+    """
+    ref = BENCH_DIGESTS[command]
+    argv = command.split(" ")
+    if "files" in ref:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == ref["exit"]
+    if "files" in ref:
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert written == ref["files"]
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout"]
 
 
 def test_no_command_is_a_usage_error(capsys):

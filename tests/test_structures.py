@@ -1,6 +1,6 @@
 """Structure classification checked against tensor, cone, and containment routes."""
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from flagclass.structures import (
     c_of_j,
     classify_structure,
     classify_triple,
+    closed_metric_feasibility,
     enumerate_iacs,
     g1_oracle,
     is_g1,
@@ -385,3 +386,71 @@ def test_normal_metric_unique_cap():
 def test_normal_metric_unique_desk():
     for name, f in desk_flags(3):
         assert normal_metric_unique(f).holds, f.label()
+
+
+def _coordinate_triples(ts):
+    """Signed members of every zero-sum triple, read off the coordinates alone.
+
+    The class of a member m is the position of whichever of m and -m lies in
+    ts.positive; the sign is +1 iff m itself does.  Triples come out as sorted
+    member tuples in sorted order.
+    """
+    pos = [t.coords for t in ts.positive]
+    vecs = sorted(pos + [tuple(-x for x in v) for v in pos])
+    out = []
+    for members in combinations_with_replacement(vecs, 3):
+        if any(sum(col) for col in zip(*members)):
+            continue
+        signed = [
+            (pos.index(m), 1) if m in pos else (pos.index(tuple(-x for x in m)), -1)
+            for m in members
+        ]
+        out.append((members, signed))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,theta", [("A2", ()), ("A3", ()), ("G2", ()), ("B2", (1,))]
+)
+def test_triple_consumers_match_coordinate_oracle(name, theta):
+    """Rows, C(J), C(g) and G1 against an oracle that never calls ts.classify."""
+    ts = build_t_roots(make_flag(rs_for(name), frozenset(theta)))
+    s = len(ts.positive)
+    pos = [t.coords for t in ts.positive]
+    triples = _coordinate_triples(ts)
+    if name == "B2":
+        assert any(members[0] == members[1] for members, _ in triples)
+    assert [members for members, _ in triples] == [
+        t.members for t in t_zero_sum_triples(ts)
+    ]
+    grid = list(metric_grid(s))
+    constant = {
+        g.lambdas: [len({g.lambdas[i] for i, _ in signed}) == 1 for _, signed in triples]
+        for g in grid
+    }
+    for g in grid:
+        covered = {
+            pos[i]
+            for (_, signed), const in zip(triples, constant[g.lambdas])
+            if const
+            for i, _ in signed
+        }
+        assert {t.coords for t in c_of_g(g, ts)} == covered
+    for j in enumerate_iacs(ts):
+        one_sign, rows = [], []
+        for _, signed in triples:
+            one_sign.append(len({sgn * j.signs[i] for i, sgn in signed}) == 1)
+            row = [Fraction(0)] * s
+            for i, sgn in signed:
+                row[i] += sgn * j.signs[i]
+            rows.append(tuple(row))
+        mixed = [row for row, one in zip(rows, one_sign) if not one]
+        assert qk_feasibility(j, ts).equations == tuple(mixed)
+        assert closed_metric_feasibility(j, ts).equations == tuple(rows)
+        expected_c_of_j = {
+            pos[i] for (_, signed), one in zip(triples, one_sign) if one for i, _ in signed
+        }
+        assert {t.coords for t in c_of_j(j, ts)} == expected_c_of_j
+        for g in grid:
+            g1 = all(c for c, one in zip(constant[g.lambdas], one_sign) if one)
+            assert is_g1(g, j, ts) == g1, (j.signs, g.lambdas)
