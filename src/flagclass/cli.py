@@ -49,10 +49,12 @@ from .weyl import WEYL_CAP, a_theta, generate_weyl, weyl_order
 SCHEMA = "flagclass/1"
 DEFAULT_IACS_CAP = 12
 DEFAULT_VERIFY_RANK = 4
-# Largest `verify --max-rank`.  Rank 6 is the largest the acceptance suite
-# runs Jacobi and t-root connectivity on; at rank 7 the Weyl groups of B7 and
-# C7 (645,120 elements) sit under WEYL_CAP and would be enumerated in full.
-VERIFY_RANK_CAP = 6
+# Largest `--max-rank` of `verify` and `sweep`.  Rank 6 is the largest the
+# acceptance suite runs Jacobi and t-root connectivity on.  At rank 7 `verify`
+# would enumerate the Weyl groups of B7 and C7 (645,120 elements, under
+# WEYL_CAP) in full, and `sweep` would add 5 * 127 flags to the 545 up to
+# rank 6, one report each.
+RANK_CAP = 6
 
 
 class UsageError(Exception):
@@ -62,6 +64,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _check_rank_cap(command: str, max_rank: int) -> None:
+    if max_rank > RANK_CAP:
+        raise CapExceededError(
+            f"{command} up to rank {max_rank} exceeds the rank cap of {RANK_CAP}"
+        )
 
 
 def _int_at_least(lo: int):
@@ -262,6 +271,7 @@ def run_sweep(max_rank: int, out_dir: Path, iacs_cap: int) -> dict:
     A verification failure does not stop the sweep: the first one is
     raised again once the index is written.
     """
+    _check_rank_cap("sweep", max_rank)
     out_dir.mkdir(parents=True, exist_ok=True)
     index_entries = []
     failure = None
@@ -319,10 +329,7 @@ class _CheckTally:
 
 
 def run_verify(max_rank: int, iacs_cap: int, weyl_cap: int) -> tuple[list[str], bool]:
-    if max_rank > VERIFY_RANK_CAP:
-        raise CapExceededError(
-            f"verify up to rank {max_rank} exceeds the rank cap of {VERIFY_RANK_CAP}"
-        )
+    _check_rank_cap("verify", max_rank)
     jacobi = _CheckTally("jacobi")
     root_conn = _CheckTally("root-connectivity")
     troot_conn = _CheckTally("t-root-connectivity")

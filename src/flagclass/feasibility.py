@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatchError, InvariantViolationError
+from .errors import DimensionMismatchError, InvalidInputError, InvariantViolationError
 
-Row = tuple[Fraction, ...]
+Row = tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,6 @@ class FeasibilityResult:
     feasible: bool
     sample: tuple[Fraction, ...] | None
     certificate: tuple[Fraction, ...] | None
-
-
-def _as_fractions(row) -> Row:
-    return tuple(Fraction(x) for x in row)
 
 
 def _combine(p, q, a: int, b: int):
@@ -58,9 +54,10 @@ def _substitute(p, q, k: int):
 def _eliminate(rows, n: int, equalities=()):
     """Fourier-Motzkin elimination: (sample, None) or (None, Farkas weights).
 
-    Rows are (int coeffs, strict, origin), origin the input index (the
-    equalities follow the rows) or (p, q, a, b, g) for the derived row
-    (a p + b q) / g.  Each equality row in turn removes its lowest nonzero
+    Each row as given (ints or Fractions) is rescaled to coprime ints once,
+    on entry.  Rows are then (int coeffs, strict, origin), origin the input
+    index (the equalities follow the rows) or (p, q, a, b, g) for the derived
+    row (a p + b q) / g.  Each equality row in turn removes its lowest nonzero
     column, its pivot, from every later equality and every inequality; these
     are the pivots of the reduced row echelon form.  FM then takes the free
     variables from the highest index down; the rows recorded per variable
@@ -70,11 +67,10 @@ def _eliminate(rows, n: int, equalities=()):
     given = [(r.coeffs, bool(r.strict)) for r in rows] + [(e, None) for e in equalities]
     inputs, current, pending = [], [], []
     for i, (coeffs, strict) in enumerate(given):
-        coeffs = _as_fractions(coeffs)
         if len(coeffs) != n:
             raise DimensionMismatchError(f"row of length {len(coeffs)}, expected {n}")
         inputs.append((coeffs, strict))
-        row = (tuple(map(int, scale_to_integers(coeffs))), bool(strict), i)
+        row = (scale_to_integers(coeffs), bool(strict), i)
         (current if strict is not None else pending).append(row)
 
     pivots = []
@@ -150,7 +146,7 @@ def _farkas_weights(zero_row, inputs, n: int) -> tuple[Fraction, ...]:
     def weights(r) -> list[Fraction]:
         if id(r) not in memo:
             if isinstance(r[2], int):
-                scale = next((s / c for s, c in zip(r[0], inputs[r[2]][0]) if c), Fraction(1))
+                scale = next((Fraction(s) / c for s, c in zip(r[0], inputs[r[2]][0]) if c), Fraction(1))
                 memo[id(r)] = [Fraction(0)] * len(inputs)
                 memo[id(r)][r[2]] = scale
             else:
@@ -174,12 +170,15 @@ def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
     return _eliminate(rows, n)[0]
 
 
-def scale_to_integers(vec) -> tuple[Fraction, ...]:
+def scale_to_integers(vec) -> tuple[int, ...]:
     """Positive rescale of a vector of ints or Fractions to coprime integer entries."""
-    lcm = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * lcm) for x in vec]
+    try:
+        lcm = math.lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (lcm // x.denominator) for x in vec]
+    except AttributeError:
+        raise InvalidInputError(f"row entries must be ints or Fractions, got {vec!r}") from None
     g = math.gcd(*ints) or 1
-    return tuple(Fraction(i // g) for i in ints)
+    return tuple(i // g for i in ints)
 
 
 def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
@@ -191,7 +190,7 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
     the equality rows have -u^T E equal to its weights on x > 0, so y = -u
     is the certificate.
     """
-    rows = [_as_fractions(r) for r in eq_rows]
+    rows = list(eq_rows)
     for r in rows:
         if len(r) != n:
             raise DimensionMismatchError(f"row of length {len(r)}, expected {n}")
@@ -210,7 +209,7 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
         if any(c < 0 for c in combo) or not any(combo):
             raise InvariantViolationError("dual certificate fails verification")
         return FeasibilityResult(False, None, y)
-    x = scale_to_integers(x)
+    x = tuple(map(Fraction, scale_to_integers(x)))
     for r in rows:
         if sum(c * v for c, v in zip(r, x)) != 0:
             raise InvariantViolationError("kernel sample violates an equality row")

@@ -46,8 +46,8 @@ class IACS:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.signs or any(s not in (1, -1) for s in self.signs):
-            raise InvalidInputError("signs must be a nonempty vector over {+1, -1}")
+        if not self.signs or any(type(s) is not int or s not in (1, -1) for s in self.signs):
+            raise InvalidInputError("signs must be a nonempty vector of ints over {+1, -1}")
 
     def sign(self, ts: TRootSystem, t) -> int:
         idx, sgn = ts.classify(_as_troot(t))
@@ -64,6 +64,8 @@ class InvariantMetric:
     lambdas: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if any(type(x) is not int and not isinstance(x, Fraction) for x in self.lambdas):
+            raise InvalidInputError("metric coefficients must be ints or Fractions")
         coerced = tuple(Fraction(x) for x in self.lambdas)
         if not coerced or any(x <= 0 for x in coerced):
             raise InvalidInputError("metric coefficients must be strictly positive")
@@ -429,7 +431,7 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
             out.append(IACS(tuple(signs)))
             return
         for sign in (1, -1):
-            row = StrictRow(tuple(Fraction(sign * c) for c in pos[k].coords))
+            row = StrictRow(tuple(sign * c for c in pos[k].coords))
             extend(rows + [row], signs + [sign])
 
     extend([], [])

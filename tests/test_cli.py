@@ -364,6 +364,15 @@ def test_verify_rank_cap_exits_two_before_any_check(capsys):
     assert err.startswith("cap exceeded:")
 
 
+def test_sweep_rank_cap_exits_two_before_any_work(capsys, tmp_path):
+    out = tmp_path / "x"
+    code, stdout, err = run_cli(capsys, "sweep", "--max-rank", "7", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("cap exceeded:")
+    assert not out.exists()
+
+
 def test_verify_writes_out_file(capsys, tmp_path):
     target = tmp_path / "checks.txt"
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "1", "--out", str(target))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagclass.errors import DimensionMismatchError
+from flagclass.errors import DimensionMismatchError, InvalidInputError
 from flagclass.feasibility import (
     StrictRow,
     scale_to_integers,
@@ -64,9 +64,33 @@ def test_row_length_checked():
         solve_strict_rows([StrictRow((Fraction(1),))], 2)
 
 
+@pytest.mark.parametrize("entry", [1.0, 0.5, "x", None])
+def test_row_entries_must_be_exact(entry):
+    with pytest.raises(InvalidInputError):
+        scale_to_integers((entry, 1))
+    with pytest.raises(InvalidInputError):
+        solve_strict_rows([StrictRow((entry, 1))], 2)
+
+
+def test_kernel_row_entries_must_be_exact():
+    # the row has both signs, so it passes the fast path and reaches the elimination
+    with pytest.raises(InvalidInputError):
+        solve_positive_kernel([(1.0, -1)], 2)
+
+
 def test_scale_to_integers():
-    assert scale_to_integers((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
-    assert scale_to_integers((Fraction(2), Fraction(4))) == (1, 2)
+    for vec, expected in [
+        ((Fraction(1, 2), Fraction(1, 3)), (3, 2)),
+        ((Fraction(2), Fraction(4)), (1, 2)),
+        ((6, -9, 0), (2, -3, 0)),
+        ((4, Fraction(-2, 3)), (6, -1)),
+        ((0, 0), (0, 0)),
+        ((Fraction(0), 0), (0, 0)),
+        ((), ()),
+    ]:
+        got = scale_to_integers(vec)
+        assert got == expected
+        assert all(type(i) is int for i in got)
 
 
 def test_kernel_single_equation():
@@ -75,6 +99,7 @@ def test_kernel_single_equation():
     assert all(v > 0 for v in res.sample)
     assert sum(c * v for c, v in zip((1, 1, -1), res.sample)) == 0
     assert all(v.denominator == 1 for v in res.sample)
+    assert all(type(v) is Fraction for v in res.sample)
 
 
 def test_kernel_same_sign_row_rejected_fast():
@@ -91,6 +116,15 @@ def test_kernel_forced_zero_coordinate():
     res = solve_positive_kernel(rows, 3)
     assert not res.feasible
     check_certificate(rows, res.certificate)
+
+
+def test_kernel_certificate_is_exact_on_rescaled_int_rows():
+    # no row has a single sign, so the system reaches the elimination, and
+    # both rows rescale by a factor other than 1 on the way in
+    res = solve_positive_kernel([(2, -4), (-6, 3)], 2)
+    assert not res.feasible
+    assert res.certificate == (Fraction(-1, 12), Fraction(-1, 9))
+    assert all(type(c) is Fraction for c in res.certificate)
 
 
 def test_kernel_no_equations_vacuous():
@@ -126,6 +160,20 @@ small_int = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
+def exact_row(draw, n):
+    """n small entries times a common factor, as ints, Fractions or a mix of both."""
+    factor = draw(st.integers(min_value=1, max_value=3))
+    den = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["int", "fraction", "mixed"]))
+    row = []
+    for _ in range(n):
+        c = factor * draw(small_int)
+        as_fraction = kind == "fraction" or (kind == "mixed" and draw(st.booleans()))
+        row.append(Fraction(c, den) if as_fraction else c)
+    return tuple(row)
+
+
+@st.composite
 def rows_with_known_point(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     point = tuple(
@@ -133,7 +181,7 @@ def rows_with_known_point(draw):
     )
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        coeffs = tuple(Fraction(draw(small_int)) for _ in range(n))
+        coeffs = draw(exact_row(n))
         val = sum(c * p for c, p in zip(coeffs, point))
         if val <= 0:
             # flip so the known point satisfies the row strictly, or skip zeros
@@ -157,9 +205,7 @@ def test_strict_solver_finds_known_feasible(case):
 def gordan_infeasible_rows(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=1, max_value=3))
-    rows = [
-        tuple(Fraction(draw(small_int)) for _ in range(n)) for _ in range(m)
-    ]
+    rows = [draw(exact_row(n)) for _ in range(m)]
     weights = [draw(st.integers(min_value=1, max_value=3)) for _ in rows]
     last = tuple(
         -sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)

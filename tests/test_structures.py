@@ -343,6 +343,13 @@ def test_validation_errors():
         InvariantMetric((1, 0))
     with pytest.raises(InvalidInputError):
         InvariantMetric((Fraction(-1), Fraction(2)))
+    # only exact input reaches the rows: no floats, bools or other types
+    for signs in ((1.0, 1, 1), (True, -1, 1)):
+        with pytest.raises(InvalidInputError):
+            IACS(signs)
+    for lambdas in ((0.1,), ("x",), (None,), (True,)):
+        with pytest.raises(InvalidInputError):
+            InvariantMetric(lambdas)
 
 
 def test_normal_metric_unique_a2():
