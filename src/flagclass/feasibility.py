@@ -194,6 +194,8 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
     for r in rows:
         if len(r) != n:
             raise DimensionMismatchError(f"row of length {len(r)}, expected {n}")
+        if not set(map(type, r)) <= {int, Fraction}:
+            raise InvalidInputError(f"row entries must be ints or Fractions, got {r!r}")
     for i, r in enumerate(rows):
         nonzero = [c for c in r if c != 0]
         if nonzero and (all(c > 0 for c in nonzero) or all(c < 0 for c in nonzero)):
@@ -209,10 +211,10 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
         if any(c < 0 for c in combo) or not any(combo):
             raise InvariantViolationError("dual certificate fails verification")
         return FeasibilityResult(False, None, y)
-    x = tuple(map(Fraction, scale_to_integers(x)))
+    x = scale_to_integers(x)
     for r in rows:
         if sum(c * v for c, v in zip(r, x)) != 0:
             raise InvariantViolationError("kernel sample violates an equality row")
     if any(v <= 0 for v in x):
         raise InvariantViolationError("kernel sample is not strictly positive")
-    return FeasibilityResult(True, x, None)
+    return FeasibilityResult(True, tuple(map(Fraction, x)), None)

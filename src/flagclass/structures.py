@@ -16,7 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import StructureConstants, bracket_coefficient
-from .errors import CapExceededError, InvalidInputError, InvariantViolationError
+from .errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    InvalidInputError,
+    InvariantViolationError,
+)
 from .feasibility import StrictRow, solve_positive_kernel, solve_strict_rows
 from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots, t_projection
 from .rootsys import Root
@@ -50,6 +55,7 @@ class IACS:
             raise InvalidInputError("signs must be a nonempty vector of ints over {+1, -1}")
 
     def sign(self, ts: TRootSystem, t) -> int:
+        _check_lengths(ts, self.signs)
         idx, sgn = ts.classify(_as_troot(t))
         return sgn * self.signs[idx]
 
@@ -72,6 +78,7 @@ class InvariantMetric:
         object.__setattr__(self, "lambdas", coerced)
 
     def value(self, ts: TRootSystem, t) -> Fraction:
+        _check_lengths(ts, self.lambdas)
         idx, _ = ts.classify(_as_troot(t))
         return self.lambdas[idx]
 
@@ -141,12 +148,21 @@ def _signed_pairs(ts: TRootSystem):
     )
 
 
+def _check_lengths(ts: TRootSystem, *vectors: tuple) -> None:
+    """Raise unless every sign or metric vector has one entry per positive t-root."""
+    s = len(ts.positive)
+    if any(len(v) != s for v in vectors):
+        raise DimensionMismatchError(
+            f"flag has {s} positive classes, got vectors of lengths {[len(v) for v in vectors]}"
+        )
+
+
 def _all_one_sign(j: IACS, signed) -> bool:
     return len({sgn * j.signs[idx] for idx, sgn in signed}) == 1
 
 
-def _signed_row(j: IACS, signed, s: int) -> tuple[Fraction, ...]:
-    row = [Fraction(0)] * s
+def _signed_row(j: IACS, signed, s: int) -> tuple[int, ...]:
+    row = [0] * s
     for idx, sgn in signed:
         row[idx] += sgn * j.signs[idx]
     return tuple(row)
@@ -157,6 +173,7 @@ def _metric_constant(g: InvariantMetric, signed) -> bool:
 
 
 def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
+    _check_lengths(ts, j.signs)
     one_sign = _all_one_sign(j, _signed_members(ts, t))
     return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
 
@@ -167,6 +184,7 @@ def is_integrable(j: IACS, ts: TRootSystem) -> bool:
     Two routes are evaluated: the pairwise vanishing criterion and the absence
     of any all-equal-sign triple.  They must agree.
     """
+    _check_lengths(ts, j.signs)
     pair_ok = all(
         ed * ee + 1 == et * (ed + ee)
         for ed, ee, et in (
@@ -212,6 +230,7 @@ def _nijenhuis_pairs(f: FlagSpec, sc: StructureConstants):
 
 def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
     """True iff the torsion of j vanishes on every Weyl basis pair from R_M."""
+    _check_lengths(build_t_roots(f), j.signs)
     for n, (ia, sa), (ib, sb), (it, st) in _nijenhuis_pairs(f, sc):
         ea = sa * j.signs[ia]
         eb = sb * j.signs[ib]
@@ -224,6 +243,7 @@ def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
 
 def c_of_j(j: IACS, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some all-equal-sign triple."""
+    _check_lengths(ts, j.signs)
     return frozenset(
         ts.positive[idx]
         for signed in _signed_triples(ts)
@@ -234,6 +254,7 @@ def c_of_j(j: IACS, ts: TRootSystem) -> frozenset[TRoot]:
 
 def c_of_g(g: InvariantMetric, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some constant-coefficient triple."""
+    _check_lengths(ts, g.lambdas)
     return frozenset(
         ts.positive[idx]
         for signed in _signed_triples(ts)
@@ -251,6 +272,7 @@ def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
     constant triple while its own all-equal-sign triple still carries two
     metric values, so only the direct per-triple test is authoritative.
     """
+    _check_lengths(ts, j.signs, g.lambdas)
     direct = all(
         _metric_constant(g, signed)
         for signed in _signed_triples(ts)
@@ -298,6 +320,7 @@ def g1_oracle(
     must coincide.
     """
     ts = build_t_roots(f)
+    _check_lengths(ts, j.signs, g.lambdas)
     _check_triple_lifts(f)
     all_vanish = True
     for tri in _root_zero_sum_triples(f):
@@ -327,17 +350,19 @@ class QKFeasibility:
 
     feasible: bool
     sample: tuple[Fraction, ...] | None
-    equations: tuple[tuple[Fraction, ...], ...]
+    equations: tuple[tuple[int, ...], ...]
     certificate: tuple[Fraction, ...] | None
 
 
-def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[Fraction, ...]:
+def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[int, ...]:
     """Coefficient row of the signed metric sum over one triple."""
+    _check_lengths(ts, j.signs)
     return _signed_row(j, _signed_members(ts, t), len(ts.positive))
 
 
 def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     """Decide whether some positive metric zeroes every mixed-sign triple sum."""
+    _check_lengths(ts, j.signs)
     s = len(ts.positive)
     rows = [
         _signed_row(j, signed, s)
@@ -356,6 +381,7 @@ def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     solutions on their own.  Feasible here and non-integrable there would be
     a closed non-integrable structure, which the classifier forbids.
     """
+    _check_lengths(ts, j.signs)
     s = len(ts.positive)
     rows = [_signed_row(j, signed, s) for signed in _signed_triples(ts)]
     res = solve_positive_kernel(rows, s)
@@ -366,10 +392,11 @@ def kahler_triple_sum(
     g: InvariantMetric, j: IACS, t: ZeroSumTriple, ts: TRootSystem
 ) -> Fraction:
     """Signed metric sum over one triple; zero on every triple means closed form."""
+    _check_lengths(ts, g.lambdas)
     return _metric_sum(g, triple_sum_row(j, t, ts))
 
 
-def _metric_sum(g: InvariantMetric, row: tuple[Fraction, ...]) -> Fraction:
+def _metric_sum(g: InvariantMetric, row: tuple[int, ...]) -> Fraction:
     return sum((c * lam for c, lam in zip(row, g.lambdas) if c), start=Fraction(0))
 
 
@@ -382,6 +409,7 @@ def classify_structure(
     that is not Kahler; positivity of the metric rules that out, so hitting
     one is an internal contradiction rather than a label.
     """
+    _check_lengths(ts, j.signs, g.lambdas)
     integrable = is_integrable(j, ts)
     s = len(ts.positive)
     sums = [

@@ -9,8 +9,10 @@ both.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     DimensionMismatchError,
@@ -96,6 +98,7 @@ class ZeroSumTriple:
         return [list(v) for v in self.members]
 
 
+@functools.lru_cache(maxsize=None)
 def zero_sum_triples(s: FunctionalSet) -> tuple[ZeroSumTriple, ...]:
     """Every multiset {a, b, c} ⊆ s with a + b + c = 0, in canonical order."""
     vecs = sorted(s.vectors)
@@ -153,18 +156,21 @@ class ConnectivityReport:
         }
 
 
-def _adjacency(reps, triples):
-    adj: dict[Vec, list[tuple[Vec, ZeroSumTriple]]] = {r: [] for r in reps}
-    for t in triples:
+@functools.lru_cache(maxsize=None)
+def _adjacency(s: FunctionalSet) -> MappingProxyType:
+    adj: dict[Vec, list[tuple[Vec, ZeroSumTriple]]] = {r: [] for r in s.class_reps()}
+    for t in zero_sum_triples(s):
         cls = sorted(t.classes())
         for a, b in itertools.combinations(cls, 2):
             adj[a].append((b, t))
             adj[b].append((a, t))
-    return adj
+    return MappingProxyType({r: tuple(pairs) for r, pairs in adj.items()})
 
 
-def _bfs_tree(base: Vec, adj) -> dict[Vec, tuple[Vec, ZeroSumTriple]]:
-    """Parent pointers (predecessor class, connecting triple) from `base`."""
+@functools.lru_cache(maxsize=None)
+def _bfs_tree(s: FunctionalSet, base: Vec) -> MappingProxyType:
+    """Parent pointers (predecessor class, connecting triple) from `base`; one search per class."""
+    adj = _adjacency(s)
     tree: dict[Vec, tuple[Vec, ZeroSumTriple]] = {}
     seen = {base}
     frontier = [base]
@@ -177,7 +183,7 @@ def _bfs_tree(base: Vec, adj) -> dict[Vec, tuple[Vec, ZeroSumTriple]]:
                     tree[other] = (node, t)
                     nxt.append(other)
         frontier = sorted(nxt)
-    return tree
+    return MappingProxyType(tree)
 
 
 def _chain_from_tree(a: Vec, b: Vec, tree) -> TzsChain:
@@ -201,29 +207,25 @@ def connectivity(s: FunctionalSet) -> ConnectivityReport:
     chain from the component's first class.
     """
     reps = s.class_reps()
-    triples = zero_sum_triples(s)
-    adj = _adjacency(reps, triples)
-
     comps: list[tuple[Vec, ...]] = []
     chains: list[TzsChain] = []
     placed: set[Vec] = set()
     for base in reps:
         if base in placed:
             continue
-        tree = _bfs_tree(base, adj)
+        tree = _bfs_tree(s, base)
         members = tuple(sorted([base, *tree]))
         placed.update(members)
         comps.append(members)
         for target in sorted(tree):
             chains.append(_chain_from_tree(base, target, tree))
-    report = ConnectivityReport(
+    return ConnectivityReport(
         connected=len(comps) <= 1,
         class_reps=reps,
         components=tuple(sorted(comps)),
-        triples=triples,
+        triples=zero_sum_triples(s),
         witness_chains=tuple(chains),
     )
-    return report
 
 
 def chain_between(s: FunctionalSet, a, b) -> TzsChain:
@@ -233,9 +235,8 @@ def chain_between(s: FunctionalSet, a, b) -> TzsChain:
         raise InvalidInputError("endpoints must belong to the functional set")
     if pm_class_rep(a) == pm_class_rep(b):
         raise InvalidInputError("endpoints lie in the same sign class")
-    adj = _adjacency(s.class_reps(), zero_sum_triples(s))
     base, target = pm_class_rep(a), pm_class_rep(b)
-    tree = _bfs_tree(base, adj)
+    tree = _bfs_tree(s, base)
     if target not in tree:
         raise NotConnectedError(f"{a} and {b} are not connected by zero-sum triples")
     return _chain_from_tree(a, b, tree)

@@ -76,6 +76,10 @@ def test_kernel_row_entries_must_be_exact():
     # the row has both signs, so it passes the fast path and reaches the elimination
     with pytest.raises(InvalidInputError):
         solve_positive_kernel([(1.0, -1)], 2)
+    # single-signed rows, which the fast path would answer without the elimination
+    for rows in ([(1.0, 2.0)], [("x", -1)], [(None, 1)], [(True, 1)]):
+        with pytest.raises(InvalidInputError):
+            solve_positive_kernel(rows, 2)
 
 
 def test_scale_to_integers():

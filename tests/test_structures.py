@@ -5,7 +5,12 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from flagclass.chevalley import compute_structure_constants
-from flagclass.errors import CapExceededError, InvalidInputError, RootArgumentError
+from flagclass.errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    InvalidInputError,
+    RootArgumentError,
+)
 from flagclass.flag import build_t_roots, make_flag
 from flagclass.rootsys import LieType, build_root_system
 from flagclass.structures import (
@@ -30,6 +35,7 @@ from flagclass.structures import (
     qk_feasibility,
     t_chambers,
     t_zero_sum_triples,
+    triple_sum_row,
 )
 from flagclass.tzs import ZeroSumTriple
 
@@ -350,6 +356,39 @@ def test_validation_errors():
     for lambdas in ((0.1,), ("x",), (None,), (True,)):
         with pytest.raises(InvalidInputError):
             InvariantMetric(lambdas)
+    # a sign vector or metric of the wrong length is an error on A2 full (s = 3)
+    f = make_flag(rs_for("A2"), frozenset())
+    ts, sc = build_t_roots(f), sc_for("A2")
+    tri = t_zero_sum_triples(ts)[0]
+    g, t = normal_metric(3), ts.positive[2]
+    for wrong in (IACS((1, 1, 1, 1)), IACS((1,))):
+        for call in (
+            lambda: wrong.sign(ts, t),
+            lambda: classify_triple(wrong, tri, ts),
+            lambda: is_integrable(wrong, ts),
+            lambda: nijenhuis_oracle(f, sc, wrong),
+            lambda: c_of_j(wrong, ts),
+            lambda: is_g1(g, wrong, ts),
+            lambda: g1_oracle(f, sc, g, wrong),
+            lambda: triple_sum_row(wrong, tri, ts),
+            lambda: qk_feasibility(wrong, ts),
+            lambda: closed_metric_feasibility(wrong, ts),
+            lambda: kahler_triple_sum(g, wrong, tri, ts),
+            lambda: classify_structure(g, wrong, ts),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
+    for wrong in (normal_metric(4), normal_metric(1)):
+        for call in (
+            lambda: wrong.value(ts, t),
+            lambda: c_of_g(wrong, ts),
+            lambda: is_g1(wrong, A2_PLUS, ts),
+            lambda: g1_oracle(f, sc, wrong, A2_PLUS),
+            lambda: kahler_triple_sum(wrong, A2_PLUS, tri, ts),
+            lambda: classify_structure(wrong, A2_PLUS, ts),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                call()
 
 
 def test_normal_metric_unique_a2():
@@ -452,8 +491,14 @@ def test_triple_consumers_match_coordinate_oracle(name, theta):
                 row[i] += sgn * j.signs[i]
             rows.append(tuple(row))
         mixed = [row for row, one in zip(rows, one_sign) if not one]
-        assert qk_feasibility(j, ts).equations == tuple(mixed)
-        assert closed_metric_feasibility(j, ts).equations == tuple(rows)
+        qk_rows = qk_feasibility(j, ts).equations
+        closed_rows = closed_metric_feasibility(j, ts).equations
+        assert qk_rows == tuple(mixed)
+        assert closed_rows == tuple(rows)
+        sum_rows = [triple_sum_row(j, t, ts) for t in t_zero_sum_triples(ts)]
+        assert sum_rows == rows
+        for row in (*qk_rows, *closed_rows, *sum_rows):
+            assert all(type(c) is int for c in row), row
         expected_c_of_j = {
             pos[i] for (_, signed), one in zip(triples, one_sign) if one for i, _ in signed
         }

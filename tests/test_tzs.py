@@ -225,6 +225,23 @@ def test_chain_validate_catches_corruption():
         TzsChain(chain.endpoints, ()).validate()
 
 
+def class_distances(s, base):
+    """Breadth-first distances from `base` over classes that share a triple."""
+    triples = triple_oracle(s.vectors)
+    dist, frontier = {base: 0}, [base]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for members in triples:
+                classes = {pm_class_rep(v) for v in members}
+                if node in classes:
+                    for other in classes - dist.keys():
+                        dist[other] = dist[node] + 1
+                        nxt.append(other)
+        frontier = nxt
+    return dist
+
+
 def test_chains_are_shortest():
     s = root_functionals("B", 3)
     reps = s.class_reps()
@@ -236,6 +253,27 @@ def test_chains_are_shortest():
             continue
         direct = any(t.contains_class(a) and t.contains_class(b) for t in triples)
         assert not direct, (a, b)
+    for name, theta in (("B3", ()), ("D4", ()), ("C3", (2,))):
+        rs = build_root_system(LieType.parse(name))
+        fs = make_functional_set(build_t_roots(make_flag(rs, frozenset(theta))).t_roots)
+        for a in fs.class_reps():
+            dist = class_distances(fs, a)
+            for b in fs.class_reps():
+                if b != a:
+                    assert len(chain_between(fs, a, b).triples) == dist[b], (name, a, b)
+
+
+def test_chain_queries_share_one_enumeration_per_set():
+    # a set no other test builds, so its first query is a cache miss
+    s = make_functional_set(
+        tuple(3 * x for x in r.coords) for r in build_root_system(LieType("A", 3)).all_roots
+    )
+    misses = zero_sum_triples.cache_info().misses
+    report = connectivity(s)
+    chains = [chain_between(s, a, b) for a, b in itertools.combinations(s.class_reps(), 2)]
+    assert zero_sum_triples.cache_info().misses == misses + 1
+    assert connectivity(s) == report
+    assert [chain_between(s, a, b) for a, b in itertools.combinations(s.class_reps(), 2)] == chains
 
 
 def test_report_json_deterministic():
