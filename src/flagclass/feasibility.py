@@ -9,16 +9,32 @@ substitution, so answers are exact and samples rational.  The run that
 derives 0 > 0 returns checked Farkas weights on its input rows; for a
 positive kernel, minus the weights on the equality rows is the dual
 certificate, a combination of them that is nonnegative and nonzero.
+
+Negating an equality row negates its certificate entry and changes nothing
+else, so the positive-kernel run is cached on the rows with each one's sign
+normalised; every answer, cached or not, is checked against the rows as given.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import DimensionMismatchError, InvalidInputError, InvariantViolationError
+from .errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    InvalidInputError,
+    InvariantViolationError,
+)
 
 Row = tuple[int | Fraction, ...]
+
+# Rows one elimination level may hold before combining; a level over it
+# raises CapExceededError instead of growing without bound.  The largest
+# level seen is 46 over the test suite, 23 over `verify --max-rank 4` and
+# 245 on quasi-Kahler systems of the F4 full flag (s = 24).
+FM_ROW_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -52,7 +68,7 @@ def _substitute(p, q, k: int):
 
 
 def _eliminate(rows, n: int, equalities=()):
-    """Fourier-Motzkin elimination: (sample, None) or (None, Farkas weights).
+    """Fourier-Motzkin elimination: (sample, None) or (None, checked Farkas (W, c)).
 
     Each row as given (ints or Fractions) is rescaled to coprime ints once,
     on entry.  Rows are then (int coeffs, strict, origin), origin the input
@@ -93,6 +109,11 @@ def _eliminate(rows, n: int, equalities=()):
                 pos.append(r)
             else:
                 neg.append(r)
+        if len(keep) + len(pos) * len(neg) > FM_ROW_CAP:
+            raise CapExceededError(
+                f"Fourier-Motzkin level would hold {len(keep) + len(pos) * len(neg)} rows, "
+                f"over the cap of {FM_ROW_CAP}"
+            )
         levels.append((k, pos + neg))
         best = {}
         for r in keep + [_combine(p, q, -q[0][k], p[0][k]) for p in pos for q in neg]:
@@ -135,34 +156,43 @@ def _eliminate(rows, n: int, equalities=()):
     return tuple(x), None
 
 
-def _farkas_weights(zero_row, inputs, n: int) -> tuple[Fraction, ...]:
-    """Checked w with sum w_i row_i = 0 on the rows as given, positive on a strict row.
+def _farkas_weights(zero_row, inputs, n: int) -> tuple[list[int], int]:
+    """Checked (W, c) with sum W_i row_i = 0 on the rows as given, positive on a strict row.
 
-    w >= 0 except on the equality rows, which may take either sign.  Input
-    rescale factors are folded back in.  Parents are shared: memoise by identity.
+    Every row carries int weights W and an int scale c > 0, in lowest terms,
+    with sum W_i input_i = c row, so the weights on the inputs are W / c.
+    W >= 0 except on the equality rows, which may take either sign.  Parents
+    are shared: memoise by identity.
     """
-    memo: dict[int, list[Fraction]] = {}
+    memo: dict[int, tuple[list[int], int]] = {}
 
-    def weights(r) -> list[Fraction]:
+    def weights(r) -> tuple[list[int], int]:
         if id(r) not in memo:
             if isinstance(r[2], int):
                 scale = next((Fraction(s) / c for s, c in zip(r[0], inputs[r[2]][0]) if c), Fraction(1))
-                memo[id(r)] = [Fraction(0)] * len(inputs)
-                memo[id(r)][r[2]] = scale
+                w = [0] * len(inputs)
+                w[r[2]] = scale.numerator
+                memo[id(r)] = w, scale.denominator
             else:
                 p, q, a, b, g = r[2]
-                memo[id(r)] = [(a * u + b * v) / g for u, v in zip(weights(p), weights(q))]
+                (wp, cp), (wq, cq) = weights(p), weights(q)
+                lcm = math.lcm(cp, cq)
+                a, b = a * (lcm // cp), b * (lcm // cq)
+                w = [a * u + b * v for u, v in zip(wp, wq)]
+                c = g * lcm
+                d = math.gcd(c, *w)
+                memo[id(r)] = ([u // d for u in w], c // d) if d > 1 else (w, c)
         return memo[id(r)]
 
-    w = weights(zero_row)
-    combo = [sum(wi * row[j] for wi, (row, _) in zip(w, inputs)) for j in range(n)]
+    w, c = weights(zero_row)
+    combo = [sum(wi * row[j] for wi, (row, _) in zip(w, inputs) if wi) for j in range(n)]
     if (
         any(wi < 0 for wi, (_, strict) in zip(w, inputs) if strict is not None)
         or any(combo)
         or not any(wi and strict for wi, (_, strict) in zip(w, inputs))
     ):
         raise InvariantViolationError("Farkas weights of an infeasible system fail verification")
-    return tuple(w)
+    return w, c
 
 
 def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
@@ -185,10 +215,10 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
     """Decide E x = 0 with x strictly positive, exactly.
 
     The fast path rejects any equality whose nonzero coefficients share a
-    sign.  Otherwise one elimination of x_k > 0 for every k, subject to
-    E x = 0: its sample is rescaled to small integers, or its weights u on
-    the equality rows have -u^T E equal to its weights on x > 0, so y = -u
-    is the certificate.
+    sign.  Otherwise each row is negated if its first nonzero entry is
+    negative, and `_kernel_elimination` answers the normalised system; its
+    certificate is negated back on the flipped rows.  The sample or the
+    certificate is then checked as ints against the rows as given.
     """
     rows = list(eq_rows)
     for r in rows:
@@ -196,25 +226,46 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
             raise DimensionMismatchError(f"row of length {len(r)}, expected {n}")
         if not set(map(type, r)) <= {int, Fraction}:
             raise InvalidInputError(f"row entries must be ints or Fractions, got {r!r}")
+    flipped = []
     for i, r in enumerate(rows):
         nonzero = [c for c in r if c != 0]
         if nonzero and (all(c > 0 for c in nonzero) or all(c < 0 for c in nonzero)):
             cert = [Fraction(0)] * len(rows)
             cert[i] = Fraction(1) if nonzero[0] > 0 else Fraction(-1)
             return FeasibilityResult(False, None, tuple(cert))
+        flipped.append(bool(nonzero) and nonzero[0] < 0)
 
-    positivity = [StrictRow(tuple(int(j == k) for j in range(n))) for k in range(n)]
-    x, w = _eliminate(positivity, n, rows)
+    x, cert = _kernel_elimination(
+        tuple(tuple(-c for c in r) if f else tuple(r) for r, f in zip(rows, flipped)), n
+    )
     if x is None:
-        y = tuple(-u for u in w[n:])
-        combo = [sum(yr * row[j] for yr, row in zip(y, rows)) for j in range(n)]
-        if any(c < 0 for c in combo) or not any(combo):
+        y, c = cert
+        y = [-u if f else u for u, f in zip(y, flipped)]
+        combo = [sum(yr * row[j] for yr, row in zip(y, rows) if yr) for j in range(n)]
+        if any(v < 0 for v in combo) or not any(combo):
             raise InvariantViolationError("dual certificate fails verification")
-        return FeasibilityResult(False, None, y)
-    x = scale_to_integers(x)
+        return FeasibilityResult(False, None, tuple(Fraction(u, c) for u in y))
     for r in rows:
         if sum(c * v for c, v in zip(r, x)) != 0:
             raise InvariantViolationError("kernel sample violates an equality row")
     if any(v <= 0 for v in x):
         raise InvariantViolationError("kernel sample is not strictly positive")
     return FeasibilityResult(True, tuple(map(Fraction, x)), None)
+
+
+# one entry per conjugate pair (j, -j) of the 2^12 structures at the default --iacs-cap
+@lru_cache(maxsize=2**11)
+def _kernel_elimination(rows: tuple[Row, ...], n: int):
+    """One elimination of x_k > 0 for every k, subject to E x = 0.
+
+    Its sample rescaled to small integers, or (y, c) with y / c the
+    certificate: the elimination's weights u on the equality rows have
+    -u^T E equal to its weights on x > 0, which are nonnegative and nonzero.
+    The caller checks either answer against the rows it was given.
+    """
+    positivity = [StrictRow(tuple(int(j == k) for j in range(n))) for k in range(n)]
+    x, weights = _eliminate(positivity, n, rows)
+    if x is None:
+        w, c = weights
+        return None, (tuple(-u for u in w[n:]), c)
+    return scale_to_integers(x), None

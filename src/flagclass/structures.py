@@ -22,7 +22,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolationError,
 )
-from .feasibility import StrictRow, solve_positive_kernel, solve_strict_rows
+from .feasibility import StrictRow, scale_to_integers, solve_positive_kernel, solve_strict_rows
 from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots, t_projection
 from .rootsys import Root
 from .tzs import (
@@ -445,24 +445,31 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
 
     A point is parameterized by its pairings with the unpainted simple roots,
     so each positive t-root evaluates through its coordinate vector.  Sign
-    prefixes are explored depth first and pruned by exact feasibility.
+    prefixes are explored depth first and pruned by exact feasibility.  Each
+    node passes its sample down as ints; a child whose new row is strictly
+    positive there is feasible with the same sample, and only the other
+    children run an elimination.
     """
     ambient = len(ts.flag.sigma_m)
     pos = ts.positive
     out = []
 
-    def extend(rows, signs):
-        if solve_strict_rows(rows, ambient) is None:
-            return
+    def extend(rows, signs, sample):
         k = len(signs)
         if k == len(pos):
             out.append(IACS(tuple(signs)))
             return
         for sign in (1, -1):
             row = StrictRow(tuple(sign * c for c in pos[k].coords))
-            extend(rows + [row], signs + [sign])
+            child, point = rows + [row], sample
+            if sum(c * v for c, v in zip(row.coeffs, sample)) <= 0:
+                x = solve_strict_rows(child, ambient)
+                if x is None:
+                    continue
+                point = scale_to_integers(x)
+            extend(child, signs + [sign], point)
 
-    extend([], [])
+    extend([], [], (0,) * ambient)
     return tuple(out)
 
 

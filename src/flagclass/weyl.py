@@ -25,7 +25,7 @@ from .errors import (
 )
 from .flag import FlagSpec, build_t_roots, t_projection
 from .rootsys import LieType, Root, RootSystem, inner_product, simple_reflection
-from .structures import IACS, InvariantMetric
+from .structures import IACS, InvariantMetric, _check_lengths
 
 WEYL_CAP = 10**6
 
@@ -191,11 +191,7 @@ def act_on_structure(
         raise DimensionMismatchError("element and flag live on different root systems")
     if not _stabilizes(omega, theta_idx):
         raise NotInSubgroupError("element does not fix the painted subsystem")
-    if len(j.signs) != len(ts.positive) or len(g.lambdas) != len(ts.positive):
-        raise DimensionMismatchError(
-            f"flag has {len(ts.positive)} positive classes, "
-            f"got {len(j.signs)} signs and {len(g.lambdas)} metric entries"
-        )
+    _check_lengths(ts, j.signs, g.lambdas)
     new_signs = []
     new_lams = []
     for t in ts.positive:

@@ -5,12 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagclass.errors import DimensionMismatchError, InvalidInputError
+from flagclass import feasibility
+from flagclass.errors import CapExceededError, DimensionMismatchError, InvalidInputError
 from flagclass.feasibility import (
     StrictRow,
+    _kernel_elimination,
     scale_to_integers,
     solve_positive_kernel,
     solve_strict_rows,
+)
+from flagclass.flag import build_t_roots, make_flag
+from flagclass.rootsys import build_root_system, proper_subsets, types_up_to
+from flagclass.structures import (
+    IACS,
+    closed_metric_feasibility,
+    enumerate_iacs,
+    qk_feasibility,
 )
 
 
@@ -275,3 +285,66 @@ def kernel_with_positive_solution(draw):
 def test_kernel_never_misses_positive_solutions(case):
     rows, n = case
     assert solve_positive_kernel(rows, n).feasible
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_kernel_instances(), st.data())
+def test_kernel_cache_hit_equals_fresh_solve(case, data):
+    # negating rows changes only the signs of their certificate entries, so a
+    # warm call on the flipped system must return what a cold one does
+    rows, n = case
+    flips = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    flipped = [tuple(-c for c in r) if f else r for r, f in zip(rows, flips)]
+    _kernel_elimination.cache_clear()
+    base = solve_positive_kernel(rows, n)
+    hits = _kernel_elimination.cache_info().hits
+    warm = solve_positive_kernel(flipped, n)
+    if _kernel_elimination.cache_info().misses:
+        assert _kernel_elimination.cache_info().hits == hits + 1
+    _kernel_elimination.cache_clear()
+    cold = solve_positive_kernel(flipped, n)
+    assert warm == cold
+    assert warm.feasible == base.feasible
+    assert warm.sample == base.sample
+    if not base.feasible:
+        assert warm.certificate == tuple(
+            -y if f else y for y, f in zip(base.certificate, flips)
+        )
+        check_certificate(flipped, warm.certificate)
+
+
+def test_conjugate_structures_share_one_answer():
+    # -j negates every row of both systems of j and keeps their sign pattern
+    for t in types_up_to(3):
+        rs = build_root_system(t)
+        for theta in proper_subsets(t.rank):
+            ts = build_t_roots(make_flag(rs, theta))
+            if len(ts.positive) > 7:
+                continue
+            for j in enumerate_iacs(ts):
+                if j.signs[0] < 0:
+                    continue
+                conj = IACS(tuple(-v for v in j.signs))
+                for system in (qk_feasibility, closed_metric_feasibility):
+                    _kernel_elimination.cache_clear()
+                    a, b = system(j, ts), system(conj, ts)
+                    assert b.equations == tuple(tuple(-c for c in r) for r in a.equations)
+                    assert b.feasible == a.feasible and b.sample == a.sample
+                    if not a.feasible:
+                        assert b.certificate == tuple(-y for y in a.certificate)
+
+
+def test_elimination_row_cap(monkeypatch):
+    # x_2 goes first: two rows with a positive and two with a negative
+    # coefficient there make a level of four combined rows
+    rows = [StrictRow((1, 1)), StrictRow((-1, 1)), StrictRow((2, -1)), StrictRow((3, -1))]
+    monkeypatch.setattr(feasibility, "FM_ROW_CAP", 4)
+    check_strict(rows, solve_strict_rows(rows, 2))
+    monkeypatch.setattr(feasibility, "FM_ROW_CAP", 3)
+    with pytest.raises(CapExceededError, match="would hold 4 rows, over the cap of 3"):
+        solve_strict_rows(rows, 2)
+    # the kernel run goes through the same elimination, cached or not
+    monkeypatch.setattr(feasibility, "FM_ROW_CAP", 1)
+    _kernel_elimination.cache_clear()
+    with pytest.raises(CapExceededError):
+        solve_positive_kernel([(1, -1, 1, -1)], 4)

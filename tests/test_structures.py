@@ -12,7 +12,8 @@ from flagclass.errors import (
     RootArgumentError,
 )
 from flagclass.flag import build_t_roots, make_flag
-from flagclass.rootsys import LieType, build_root_system
+from flagclass import structures
+from flagclass.rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from flagclass.structures import (
     IACS,
     InvariantMetric,
@@ -163,14 +164,39 @@ def test_integrability_routes_agree_desk():
             assert (j.signs in chambers) == flat, (f.label(), j.signs)
 
 
+WEYL_ORDERS = {"A1": 2, "A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48, "C3": 48}
+
+
 def test_chamber_counts_on_full_flags():
-    assert len(t_chambers(full_ts("A2"))) == 6
-    assert len(t_chambers(full_ts("A3"))) == 24
-    assert len(t_chambers(full_ts("B3"))) == 48
-    assert len(t_chambers(full_ts("C3"))) == 48
-    assert len(t_chambers(full_ts("G2"))) == 12
+    # a full flag's chambers are the Weyl chambers, one per group element
+    assert set(WEYL_ORDERS) == {str(t) for t in types_up_to(3)}
+    for name, order in WEYL_ORDERS.items():
+        assert len(t_chambers(full_ts(name))) == order, name
     single = build_t_roots(make_flag(rs_for("A3"), frozenset({2, 3})))
     assert len(t_chambers(single)) == 2
+
+
+def test_chambers_reuse_parent_samples(monkeypatch):
+    # the flags `verify --max-rank 3 --iacs-cap 6` runs the chamber search on;
+    # a node whose new row is positive at its parent's sample runs no elimination
+    calls = []
+    solve = structures.solve_strict_rows
+
+    def counted(rows, n):
+        calls.append(len(rows))
+        return solve(rows, n)
+
+    monkeypatch.setattr(structures, "solve_strict_rows", counted)
+    searched = 0
+    for t in types_up_to(3):
+        for theta in proper_subsets(t.rank):
+            ts = build_t_roots(make_flag(rs_for(str(t)), theta))
+            if len(ts.positive) <= 6:
+                t_chambers(ts)
+                searched += 1
+    assert searched == 29
+    assert len(calls) == 362  # 519 when every node ran its own elimination
+    assert min(calls) == 1
 
 
 def test_chambers_follow_enumeration_order():

@@ -7,6 +7,7 @@ import pytest
 
 from flagclass.errors import (
     CapExceededError,
+    DimensionMismatchError,
     InvalidInputError,
     InvariantViolationError,
     NotInSubgroupError,
@@ -207,6 +208,16 @@ def test_action_requires_subgroup_membership():
     j = enumerate_iacs(ts)[0]
     with pytest.raises(NotInSubgroupError):
         act_on_structure(outsider, f, j, normal_metric(len(ts.positive)))
+
+
+def test_action_checks_vector_lengths():
+    rs = rs_for("A2")
+    f = make_flag(rs, ())
+    w = group_for("A2")
+    g = normal_metric(3)
+    for j, metric in ((IACS((1, 1)), g), (IACS((1, 1, 1)), normal_metric(2))):
+        with pytest.raises(DimensionMismatchError, match="3 positive classes"):
+            act_on_structure(w.identity, f, j, metric)
 
 
 def test_action_permutes_metric_entries():
