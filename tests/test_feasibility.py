@@ -299,7 +299,7 @@ def test_kernel_cache_hit_equals_fresh_solve(case, data):
     base = solve_positive_kernel(rows, n)
     hits = _kernel_elimination.cache_info().hits
     warm = solve_positive_kernel(flipped, n)
-    if _kernel_elimination.cache_info().misses:
+    if _kernel_elimination.cache_info().misses:  # past the fast path
         assert _kernel_elimination.cache_info().hits == hits + 1
     _kernel_elimination.cache_clear()
     cold = solve_positive_kernel(flipped, n)
