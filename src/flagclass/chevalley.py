@@ -256,15 +256,17 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
         )
         for (a, b), v in sc.table.items()
     }
-    pairings: dict[tuple[int, int], Q] = {}
+    # each root times the Gram matrix, so the pairing (z, x) is one short dot product
+    gram_rows = [
+        [sum((c * g for c, g in zip(r.coords, col) if c), start=Q(0)) for col in zip(*rs.gram)]
+        for r in ordered
+    ]
 
     def add_term(acc: dict[int, Q], x: int, y: int, z: int) -> None:
         # adds the coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
         s = plus[x][y]
         if s == zero:
-            p = pairings.get((z, x))
-            if p is None:
-                p = pairings[(z, x)] = inner_product(rs, ordered[z], ordered[x])
+            p = sum(g * c for g, c in zip(gram_rows[z], ordered[x].coords) if c)
             acc[1] = acc.get(1, 0) + p
             return
         t1 = terms.get((x, y))

@@ -32,9 +32,11 @@ from .errors import (
 from .flag import FlagSpec, build_t_roots, make_flag
 from .rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from .structures import (
-    classify_triple,
+    IACS_CAP,
+    TripleClass,
+    _all_one_sign,
+    _signed_triples,
     closed_metric_feasibility,
-    c_of_j,
     enumerate_iacs,
     is_integrable,
     nijenhuis_oracle,
@@ -73,8 +75,8 @@ def _check_rank_cap(command: str, max_rank: int) -> None:
         )
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer no smaller than lo."""
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an integer no smaller than lo and, if hi is given, no larger."""
 
     def parse(text: str) -> int:
         try:
@@ -83,6 +85,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be at most {hi}, got {value}")
         return value
 
     return parse
@@ -173,26 +177,28 @@ def _info_text(payload: dict) -> str:
 
 def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     ts = build_t_roots(f)
-    triples = t_zero_sum_triples(ts)
+    signed_triples = _signed_triples(ts)
+    # one members list per triple, shared by every entry
+    members = [[list(m) for m in tr.members] for tr in t_zero_sum_triples(ts)]
+    coords = [t.coords for t in ts.positive]
+    classes = {True: TripleClass.ZERO_THREE.value, False: TripleClass.ONE_TWO.value}
     structures = enumerate_iacs(ts, cap=iacs_cap)
     entries = []
     for j in structures:
+        one_sign = [_all_one_sign(j, signed) for signed in signed_triples]
+        in_c = {idx for signed, one in zip(signed_triples, one_sign) if one for idx, _ in signed}
         qk = qk_feasibility(j, ts)
         entries.append(
             {
                 "signs": list(j.signs),
                 "integrable": is_integrable(j, ts),
-                "c_of_j": sorted(list(t.coords) for t in c_of_j(j, ts)),
+                "c_of_j": sorted(list(coords[idx]) for idx in in_c),
                 "qk": {
                     "feasible": qk.feasible,
                     "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
                 },
                 "triples": [
-                    {
-                        "members": [list(m) for m in tr.members],
-                        "class": classify_triple(j, tr, ts).value,
-                    }
-                    for tr in triples
+                    {"members": m, "class": classes[one]} for m, one in zip(members, one_sign)
                 ],
             }
         )
@@ -239,7 +245,39 @@ def _classify_text(payload: dict) -> str:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Render any report as json.dumps(payload, indent=2) + "\n", byte for byte.
+
+    With indent set, the stdlib encoder runs in pure Python, and a classify
+    report repeats every triple's members in each of its 2^s entries.  So
+    the entries' "triples" lists are left out of json.dumps and each
+    (members, class) pair is rendered once per report: classify_payload
+    shares one members list per triple between the entries.  Indent=2
+    output holds no raw newline inside a string, so a value nested d levels
+    deep is its own json.dumps with 2*d spaces after every newline, and a
+    `null` placeholder at one exact indent marks the one key it stands for.
+    """
+    entries = payload.get("iacs")
+    if not entries:
+        return json.dumps(payload, indent=2) + "\n"
+    top = json.dumps({**payload, "iacs": None}, indent=2)
+    before, after = top.split('\n  "iacs": null')
+    heads = json.dumps([{**e, "triples": None} for e in entries], indent=2)
+    pieces = heads.replace("\n", "\n  ").split('\n      "triples": null')
+    nl = "\n        "
+    rendered = {}
+    out = [before, '\n  "iacs": ', pieces[0]]
+    for entry, piece in zip(entries, pieces[1:]):
+        texts = []
+        for tr in entry["triples"]:
+            key = (id(tr["members"]), tr["class"])
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = json.dumps(tr, indent=2).replace("\n", nl)
+            texts.append(text)
+        block = f"[{nl}{(',' + nl).join(texts)}\n      ]" if texts else "[]"
+        out += ('\n      "triples": ', block, piece)
+    out += (after, "\n")
+    return "".join(out)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -423,17 +461,17 @@ def build_parser() -> _Parser:
 
     p_classify = sub.add_parser("classify", help="classify every structure on one flag")
     add_flag_args(p_classify)
-    p_classify.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
+    p_classify.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
 
     p_sweep = sub.add_parser("sweep", help="classification reports for every small flag")
-    p_sweep.add_argument("--max-rank", type=_int_at_least(1), default=2)
+    p_sweep.add_argument("--max-rank", type=_int_in(1), default=2)
     p_sweep.add_argument("--out", help="output directory (required unless FLAGCLASS_OUT is set)")
-    p_sweep.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
+    p_sweep.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
 
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
-    p_verify.add_argument("--max-rank", type=_int_at_least(1), default=DEFAULT_VERIFY_RANK)
-    p_verify.add_argument("--iacs-cap", type=_int_at_least(0), default=DEFAULT_IACS_CAP)
-    p_verify.add_argument("--weyl-cap", type=_int_at_least(1), default=WEYL_CAP)
+    p_verify.add_argument("--max-rank", type=_int_in(1), default=DEFAULT_VERIFY_RANK)
+    p_verify.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
+    p_verify.add_argument("--weyl-cap", type=_int_in(1), default=WEYL_CAP)
     p_verify.add_argument("--out", help="also write the check lines here")
 
     return parser

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     CapExceededError,
@@ -126,20 +127,22 @@ def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
         WeylElement(tuple(rs.index[simple_reflection(rs, i, b)] for b in rs.all_roots))
         for i in range(1, rs.rank + 1)
     )
-    identity = WeylElement(tuple(range(len(rs.all_roots))))
-    seen = {identity.perm}
-    elements = [identity]
+    identity = tuple(range(len(rs.all_roots)))
+    # the sweep composes bare permutations: w after s is itemgetter(*s)(w)
+    steps = [itemgetter(*s.perm) for s in generators]
+    seen = {identity}
+    elements = [WeylElement(identity)]
     frontier = [identity]
     while frontier:
         discovered = set()
         for w in frontier:
-            for s in generators:
-                img = w.compose(s).perm
+            for step in steps:
+                img = step(w)
                 if img not in seen:
                     seen.add(img)
                     discovered.add(img)
-        frontier = [WeylElement(p) for p in sorted(discovered)]
-        elements.extend(frontier)
+        frontier = sorted(discovered)
+        elements.extend(WeylElement(p) for p in frontier)
     if len(elements) != projected:
         raise InvariantViolationError(
             f"generated {len(elements)} elements of {rs.lie_type}, closed form says {projected}"

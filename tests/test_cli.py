@@ -70,6 +70,10 @@ def test_paint_is_the_complement(capsys):
         ("info", "--type", "A2", "--iacs-cap", "3"),
         ("classify",),
         ("classify", "--type", "A2", "--theta", "--iacs-cap", "-1"),
+        # one over the hard cap, on flags small enough that a missed check fails fast
+        ("classify", "--type", "A2", "--theta", "--iacs-cap", "21"),
+        ("sweep", "--max-rank", "1", "--iacs-cap", "21"),
+        ("verify", "--max-rank", "1", "--iacs-cap", "21"),
         ("verify", "--max-rank", "0"),
         ("verify", "--max-rank", "2", "--weyl-cap", "-1"),
         ("verify", "--max-rank", "2", "--weyl-cap", "0"),
@@ -82,6 +86,21 @@ def test_usage_errors_exit_one(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep", "verify"])
+def test_iacs_cap_above_the_hard_cap_is_rejected_at_parse_time(capsys, tmp_path, command):
+    argv = {
+        "classify": ("classify", "--type", "A2", "--theta"),
+        "sweep": ("sweep", "--max-rank", "1", "--out", str(tmp_path / "sweep")),
+        "verify": ("verify", "--max-rank", "1"),
+    }[command]
+    code, _, err = run_cli(capsys, *argv, "--iacs-cap", "21")
+    assert code == 1
+    assert f"must be at most {cli.IACS_CAP}, got 21" in err
+    assert not (tmp_path / "sweep").exists()
+    code, _, err = run_cli(capsys, *argv, "--iacs-cap", str(cli.IACS_CAP))
+    assert code == 0, err
 
 
 BENCH_DIGESTS = json.loads(

@@ -13,7 +13,7 @@ from flagclass.errors import (
     NotInSubgroupError,
 )
 from flagclass.flag import build_t_roots, make_flag
-from flagclass.rootsys import LieType, build_root_system, inner_product
+from flagclass.rootsys import LieType, build_root_system, inner_product, types_up_to
 from flagclass.structures import (
     IACS,
     InvariantMetric,
@@ -86,6 +86,33 @@ def test_bfs_order_is_deterministic():
     assert list(w.elements[1:3]) == sorted(w.elements[1:3], key=lambda e: e.perm)
     again = generate_weyl(rs_for("A2"))
     assert [e.perm for e in again.elements] == [e.perm for e in w.elements]
+
+
+def _bfs_by_compose(rs):
+    """The group by a breadth-first sweep over WeylElement.compose: the test oracle."""
+    generators = generate_weyl(rs).generators
+    identity = WeylElement(tuple(range(len(rs.all_roots))))
+    seen = {identity.perm}
+    elements = [identity]
+    frontier = [identity]
+    while frontier:
+        discovered = set()
+        for w in frontier:
+            for s in generators:
+                img = w.compose(s).perm
+                if img not in seen:
+                    seen.add(img)
+                    discovered.add(img)
+        frontier = [WeylElement(p) for p in sorted(discovered)]
+        elements.extend(frontier)
+    return [e.perm for e in elements]
+
+
+@pytest.mark.parametrize("t", [str(t) for t in types_up_to(4)])
+def test_element_order_matches_compose_oracle(t):
+    w = generate_weyl(rs_for(t))
+    assert [e.perm for e in w.elements] == _bfs_by_compose(rs_for(t))
+    assert w.order == weyl_order(LieType.parse(t))
 
 
 def test_elements_distinct_and_bijective():
