@@ -66,17 +66,11 @@ def test_sweep_index_with_an_error_entry_matches_stdlib(tmp_path):
     assert (tmp_path / "index.json").read_text() == oracle(index)
 
 
-def test_single_class_flag_has_no_triples():
-    payload = payload_for("A1", ())
-    assert payload["s"] == 1
-    assert all(entry["triples"] == [] for entry in payload["iacs"])
-    assert cli._dump_json(payload) == oracle(payload)
-
-
-def test_none_qk_sample():
-    payload = payload_for("G2", ())
-    assert any(entry["qk"]["sample"] is None for entry in payload["iacs"])
-    assert cli._dump_json(payload) == oracle(payload)
+def test_flags_cover_the_edge_cases():
+    # the per-flag comparison above runs on both of these
+    a1 = payload_for("A1", ())
+    assert a1["s"] == 1 and all(entry["triples"] == [] for entry in a1["iacs"])
+    assert any(entry["qk"]["sample"] is None for entry in payload_for("G2", ())["iacs"])
 
 
 def test_fraction_samples_and_unshared_members():
