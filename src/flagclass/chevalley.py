@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .errors import CartanBracketError, RootArgumentError
+from .errors import CartanBracketError, InvariantViolationError, RootArgumentError
 from .rootsys import Root, RootSystem, inner_product, root_string
 
 Q = Fraction
@@ -175,7 +175,8 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
                     (_length(rs, d2) / _length(rs, eta)) * _n_pos(table, order, d2, alpha)
                 ) * _n_pos(table, order, d2, xi)
             val = -acc / denom
-            assert val != 0 and val.denominator == 1, (xi, eta, val)
+            if val == 0 or val.denominator != 1:
+                raise InvariantViolationError((xi, eta, val))
             table[(xi, eta)] = val
     return table
 

@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .chevalley import compute_structure_constants, verify_jacobi
 from .errors import (
     CapExceededError,
     InvalidInputError,
@@ -46,7 +45,6 @@ from .structures import (
     t_zero_sum_triples,
 )
 from .tzs import connectivity, make_functional_set
-from .weyl import WEYL_CAP, a_theta, generate_weyl, weyl_order
 
 SCHEMA = "flagclass/1"
 DEFAULT_IACS_CAP = 12
@@ -366,8 +364,20 @@ class _CheckTally:
         return self.failure is None
 
 
-def run_verify(max_rank: int, iacs_cap: int, weyl_cap: int) -> tuple[list[str], bool]:
+def run_verify(
+    max_rank: int, iacs_cap: int, weyl_cap: int | None = None
+) -> tuple[list[str], bool]:
+    """The verify check lines and whether all passed; weyl_cap None means weyl.WEYL_CAP.
+
+    Only verify cross-checks against Chevalley constants and Weyl groups, so
+    only it imports those layers; info, classify and sweep start without them.
+    """
     _check_rank_cap("verify", max_rank)
+    from .chevalley import compute_structure_constants, verify_jacobi
+    from .weyl import WEYL_CAP, a_theta, generate_weyl, weyl_order
+
+    if weyl_cap is None:
+        weyl_cap = WEYL_CAP
     jacobi = _CheckTally("jacobi")
     root_conn = _CheckTally("root-connectivity")
     troot_conn = _CheckTally("t-root-connectivity")
@@ -471,7 +481,9 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
     p_verify.add_argument("--max-rank", type=_int_in(1), default=DEFAULT_VERIFY_RANK)
     p_verify.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
-    p_verify.add_argument("--weyl-cap", type=_int_in(1), default=WEYL_CAP)
+    # None stands for weyl.WEYL_CAP, resolved by run_verify, so that parsing
+    # loads no Weyl layer.
+    p_verify.add_argument("--weyl-cap", type=_int_in(1), default=None)
     p_verify.add_argument("--out", help="also write the check lines here")
 
     return parser

@@ -146,9 +146,8 @@ def _eliminate(rows, n: int, equalities=()):
         elif upper is None:
             x[k] = lower[0] + 1
         else:
-            assert lower[0] < upper[0] or (
-                lower[0] == upper[0] and not (lower[1] or upper[1])
-            ), "elimination left an empty interval"
+            if lower[0] > upper[0] or (lower[0] == upper[0] and (lower[1] or upper[1])):
+                raise InvariantViolationError("elimination left an empty interval")
             x[k] = (lower[0] + upper[0]) / 2
     for k, q in reversed(pivots):
         rest = sum((c * x[j] for j, c in enumerate(q[0]) if c and j != k), Fraction(0))

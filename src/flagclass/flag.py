@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .errors import (
     InvalidInputError,
+    InvariantViolationError,
     NotAFlagManifoldError,
     NotConnectedError,
     ProjectsToZeroError,
@@ -124,8 +125,10 @@ def build_t_roots(f: FlagSpec) -> TRootSystem:
     positive = tuple(sorted((t for t in t_roots if t.is_positive()), key=lambda t: t.coords))
     dims = {t: len(roots) for t, roots in frozen.items()}
     ts = TRootSystem(f, t_roots, positive, frozen, dims)
-    assert sum(dims.values()) == len(f.r_m)
-    assert len(positive) * 2 == len(t_roots)
+    if sum(dims.values()) != len(f.r_m):
+        raise InvariantViolationError("the fibers do not partition R_M")
+    if len(positive) * 2 != len(t_roots):
+        raise InvariantViolationError("the t-roots are not split evenly by sign")
     return ts
 
 
@@ -209,8 +212,11 @@ def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
     total = f.rs.simple_roots[best[0] - 1]
     for node in best[1:]:
         total = total + f.rs.simple_roots[node - 1]
-        assert total in f.rs.root_set, "path sum left the root system"
-    assert total in f.r_m
+        if total not in f.rs.root_set:
+            raise InvariantViolationError("path sum left the root system")
+    if total not in f.r_m:
+        raise InvariantViolationError("bridge root lies outside R_M")
     ends = t_projection(f, f.rs.simple_roots[best[0] - 1]) + t_projection(f, f.rs.simple_roots[best[-1] - 1])
-    assert t_projection(f, total) == ends, "bridge restriction differs from endpoint sum"
+    if t_projection(f, total) != ends:
+        raise InvariantViolationError("bridge restriction differs from endpoint sum")
     return total

@@ -9,13 +9,14 @@ on the Weyl basis, a cone realizability test, or a set containment.  The two
 routes must agree; a mismatch raises an invariant violation instead of
 returning a guess.
 """
+from __future__ import annotations
+
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .chevalley import StructureConstants, bracket_coefficient
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -112,7 +113,8 @@ def enumerate_iacs(ts: TRootSystem, cap: int = IACS_CAP) -> tuple[IACS, ...]:
     if s > cap:
         raise CapExceededError(f"enumerating 2^{s} structures exceeds the cap 2^{cap}")
     out = tuple(IACS(signs) for signs in itertools.product((1, -1), repeat=s))
-    assert len(out) == 2 ** s
+    if len(out) != 2**s:
+        raise InvariantViolationError(f"enumerated {len(out)} structures, not 2^{s}")
     return out
 
 
@@ -208,6 +210,10 @@ def _nijenhuis_pairs(f: FlagSpec, sc: StructureConstants):
     Pairs whose sum restricts to zero contribute nothing; the bracket lands in
     the isotropy subalgebra and the projection kills it.
     """
+    # Imported here, as in g1_oracle: only these oracles need the Chevalley
+    # layer, so classification loads without it.
+    from .chevalley import bracket_coefficient
+
     ts = build_t_roots(f)
     roots = sorted(f.r_m, key=lambda r: r.coords)
     records = []
@@ -319,6 +325,8 @@ def g1_oracle(
     constant table and once from the factored single-product form; the two
     must coincide.
     """
+    from .chevalley import bracket_coefficient
+
     ts = build_t_roots(f)
     _check_lengths(ts, j.signs, g.lambdas)
     _check_triple_lifts(f)
@@ -504,7 +512,8 @@ def _forcing_iacs(ts: TRootSystem, t: ZeroSumTriple) -> IACS:
     for idx, sgn in _signed_members(ts, t):
         signs[idx] = sgn
     j = IACS(tuple(signs))
-    assert classify_triple(j, t, ts) is TripleClass.ZERO_THREE
+    if classify_triple(j, t, ts) is not TripleClass.ZERO_THREE:
+        raise InvariantViolationError(f"signs {j.signs} do not make triple {t} one-signed")
     return j
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flagclass
-from flagclass import cli
+from flagclass import chevalley, cli
 from flagclass.chevalley import StructureConstants, compute_structure_constants
 from flagclass.errors import InvariantViolationError
 from flagclass.rootsys import LieType
@@ -411,7 +411,8 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
         table[key] = table[key] + table[key]
         return StructureConstants(rs, table)
 
-    monkeypatch.setattr(cli, "compute_structure_constants", corrupted)
+    # run_verify looks the name up in chevalley on each call
+    monkeypatch.setattr(chevalley, "compute_structure_constants", corrupted)
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
     assert code == 3
     assert any(line.startswith("FAIL jacobi") for line in out.splitlines())

@@ -1,0 +1,79 @@
+"""Each command loads only the modules it runs; `import flagclass` alone loads none.
+
+The classification needs t-roots and their zero-sum triples only, so `info`,
+`classify` and `sweep` must start without the Chevalley and Weyl layers,
+which only `verify` cross-checks against.  Each case runs in a fresh child
+interpreter, because this process has imported every module already.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import flagclass
+
+SRC = str(Path(flagclass.__file__).parents[1])
+VERIFY_ONLY = {"flagclass.chevalley", "flagclass.weyl"}
+
+# Runs cli.main on argv[1:] and reports the exit code and the loaded
+# flagclass modules on stderr, below whatever the command itself prints.
+RUN_MAIN = """
+import json, sys
+from flagclass import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("flagclass"))]), file=sys.stderr)
+"""
+
+BARE_IMPORT = """
+import json, sys, types
+import flagclass
+before = sorted(m for m in sys.modules if m.startswith("flagclass"))
+resolved = [isinstance(getattr(flagclass, m), types.ModuleType) for m in ("chevalley", "weyl", "cli")]
+print(json.dumps([before, resolved]))
+"""
+
+
+def run_child(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, loads_verify_layers",
+    [
+        (["info", "--type", "A2", "--theta="], False),
+        (["classify", "--type", "A2", "--theta=", "--format", "json"], False),
+        (["sweep", "--max-rank", "1", "--out", "{tmp}"], False),
+        (["verify", "--max-rank", "1"], True),
+    ],
+    ids=["info", "classify", "sweep", "verify"],
+)
+def test_commands_load_the_verify_layers_only_for_verify(tmp_path, argv, loads_verify_layers):
+    argv = [a.replace("{tmp}", str(tmp_path / "sweep")) for a in argv]
+    proc = run_child("-c", RUN_MAIN, *argv)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert VERIFY_ONLY & set(loaded) == (VERIFY_ONLY if loads_verify_layers else set())
+
+
+def test_bare_import_loads_no_submodule_and_resolves_each_on_access():
+    proc = run_child("-c", BARE_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["flagclass"], [True, True, True]]
+
+
+def test_module_entrypoint_is_imported_once():
+    # If the package imported cli, `-m flagclass.cli` would run it a second
+    # time as __main__, and runpy warns about that.
+    proc = run_child("-W", "error", "-m", "flagclass.cli", "info", "--type", "A2", "--theta=")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

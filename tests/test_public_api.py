@@ -1,4 +1,8 @@
 """The public API is frozen: flagclass.__all__ keeps this sorted list, and every name resolves."""
+import importlib
+
+import pytest
+
 import flagclass
 
 PUBLIC_NAMES = [
@@ -80,6 +84,7 @@ PUBLIC_NAMES = [
 def test_all_is_the_frozen_sorted_list():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert flagclass.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(flagclass))
 
 
 def test_every_public_name_resolves():
@@ -88,3 +93,9 @@ def test_every_public_name_resolves():
     missing = [name for name in PUBLIC_NAMES if name not in namespace]
     assert missing == []
     assert all(namespace[name] is getattr(flagclass, name) for name in PUBLIC_NAMES)
+    for module in ("chevalley", "weyl", "cli"):
+        assert getattr(flagclass, module) is importlib.import_module(f"flagclass.{module}")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flagclass.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from flagclass import no_such_name", {})
