@@ -17,6 +17,7 @@ Q(sqrt2, sqrt3); no floats.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -50,32 +51,20 @@ class ExtScalar:
     def sqrt_rational(cls, r) -> "ExtScalar":
         """Exact square root of a positive rational, when it lies in the field.
 
-        Writes r = (k/den)^2 * s with s squarefree; s must be 1, 2, 3 or 6.
+        The root lies in the field exactly when r/s is a rational square for
+        one s in (1, 2, 3, 6).  With r = n/den in lowest terms that means
+        n * den = s * k^2, and then sqrt(r) = (k/den) * sqrt(s).
         """
         r = Q(r)
         if r <= 0:
             raise ValueError(f"need a positive rational, got {r}")
         m = r.numerator * r.denominator
-        s, k = 1, 1
-        f = 2
-        while f * f <= m:
-            while m % (f * f) == 0:
-                m //= f * f
-                k *= f
-            if m % f == 0:
-                m //= f
-                s *= f
-            f += 1
-        s *= m
-        coeff = Q(k, r.denominator)
-        if s == 1:
-            return cls(coeff, Q(0), Q(0), Q(0))
-        if s == 2:
-            return cls(Q(0), coeff, Q(0), Q(0))
-        if s == 3:
-            return cls(Q(0), Q(0), coeff, Q(0))
-        if s == 6:
-            return cls(Q(0), Q(0), Q(0), coeff)
+        for slot, s in enumerate((1, 2, 3, 6)):
+            k = math.isqrt(m // s)
+            if s * k * k == m:
+                coeffs = [Q(0)] * 4
+                coeffs[slot] = Q(k, r.denominator)
+                return cls(*coeffs)
         raise ValueError(f"sqrt({r}) is not in Q(sqrt2, sqrt3)")
 
     def is_zero(self) -> bool:

@@ -33,8 +33,8 @@ from .rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from .structures import (
     IACS_CAP,
     TripleClass,
-    _all_one_sign,
-    _signed_triples,
+    _one_sign,
+    c_of_j,
     closed_metric_feasibility,
     enumerate_iacs,
     is_integrable,
@@ -175,28 +175,25 @@ def _info_text(payload: dict) -> str:
 
 def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     ts = build_t_roots(f)
-    signed_triples = _signed_triples(ts)
     # one members list per triple, shared by every entry
     members = [[list(m) for m in tr.members] for tr in t_zero_sum_triples(ts)]
-    coords = [t.coords for t in ts.positive]
     classes = {True: TripleClass.ZERO_THREE.value, False: TripleClass.ONE_TWO.value}
     structures = enumerate_iacs(ts, cap=iacs_cap)
     entries = []
     for j in structures:
-        one_sign = [_all_one_sign(j, signed) for signed in signed_triples]
-        in_c = {idx for signed, one in zip(signed_triples, one_sign) if one for idx, _ in signed}
         qk = qk_feasibility(j, ts)
         entries.append(
             {
                 "signs": list(j.signs),
                 "integrable": is_integrable(j, ts),
-                "c_of_j": sorted(list(coords[idx]) for idx in in_c),
+                "c_of_j": sorted(list(t.coords) for t in c_of_j(j, ts)),
                 "qk": {
                     "feasible": qk.feasible,
                     "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
                 },
                 "triples": [
-                    {"members": m, "class": classes[one]} for m, one in zip(members, one_sign)
+                    {"members": m, "class": classes[one]}
+                    for m, one in zip(members, _one_sign(j.signs, ts))
                 ],
             }
         )

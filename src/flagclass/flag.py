@@ -165,8 +165,9 @@ def complement_components(f: FlagSpec) -> tuple[tuple[int, ...], ...]:
 def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
     """A root joining two black components through painted nodes only.
 
-    Walks the unique tree path between the closest pair of nodes of the two
-    components; every interior node must be painted.  The running sum of
+    A Dynkin diagram is a tree, so at most one path joins the two components
+    with every interior node painted; one breadth-first search from the whole
+    first component through painted nodes finds it.  The running sum of
     simple roots along the path stays a root at each step, and the final sum
     restricts to the sum of the two endpoint t-roots.
     """
@@ -181,42 +182,31 @@ def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
         adj[i].append(j)
         adj[j].append(i)
 
-    targets = set(comps[d2 - 1])
-    best: list[int] | None = None
-    for start in comps[d1 - 1]:
-        # BFS allowing only painted interior nodes
-        prev: dict[int, int | None] = {start: None}
-        queue = [start]
-        while queue:
-            node = queue.pop(0)
-            for other in sorted(adj[node]):
-                if other in prev:
-                    continue
-                if other in targets:
-                    prev[other] = node
-                    path = [other]
-                    while path[-1] is not None:
-                        path.append(prev[path[-1]])
-                    path = path[:-1][::-1]
-                    if best is None or len(path) < len(best) or (len(path) == len(best) and path < best):
-                        best = path
-                    queue = []
-                    break
-                if other in f.theta:
-                    prev[other] = node
-                    queue.append(other)
-    if best is None:
-        raise NotConnectedError(
-            f"no painted path joins components {d1} and {d2}"
-        )
-    total = f.rs.simple_roots[best[0] - 1]
-    for node in best[1:]:
+    prev: dict[int, int | None] = dict.fromkeys(comps[d1 - 1])
+    queue = list(prev)
+    for node in queue:  # grows as painted nodes are reached
+        for other in adj[node]:
+            if other in f.theta and other not in prev:
+                prev[other] = node
+                queue.append(other)
+    # two disjoint subtrees of a tree share at most one edge
+    links = [(node, other) for node in queue for other in adj[node] if other in comps[d2 - 1]]
+    if not links:
+        raise NotConnectedError(f"no painted path joins components {d1} and {d2}")
+    node, end = links[0]
+    path = [end]
+    while node is not None:
+        path.append(node)
+        node = prev[node]
+    path.reverse()
+    total = f.rs.simple_roots[path[0] - 1]
+    for node in path[1:]:
         total = total + f.rs.simple_roots[node - 1]
         if total not in f.rs.root_set:
             raise InvariantViolationError("path sum left the root system")
     if total not in f.r_m:
         raise InvariantViolationError("bridge root lies outside R_M")
-    ends = t_projection(f, f.rs.simple_roots[best[0] - 1]) + t_projection(f, f.rs.simple_roots[best[-1] - 1])
+    ends = t_projection(f, f.rs.simple_roots[path[0] - 1]) + t_projection(f, f.rs.simple_roots[path[-1] - 1])
     if t_projection(f, total) != ends:
         raise InvariantViolationError("bridge restriction differs from endpoint sum")
     return total

@@ -39,7 +39,11 @@ IACS_CAP = 20
 
 
 def _as_troot(v) -> TRoot:
-    return v if isinstance(v, TRoot) else TRoot(tuple(v))
+    if isinstance(v, TRoot):
+        return v
+    if isinstance(v, (tuple, list)) and all(type(c) is int for c in v):
+        return TRoot(tuple(v))
+    raise InvalidInputError(f"expected a t-root or a sequence of ints, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,6 @@ def t_zero_sum_triples(ts: TRootSystem) -> tuple[ZeroSumTriple, ...]:
     return zero_sum_triples(fs)
 
 
-@lru_cache(maxsize=None)
 def _signed_members(ts: TRootSystem, t: ZeroSumTriple) -> tuple[tuple[int, int], ...]:
     """(class index, sign) of each member of a triple, in member order."""
     return tuple(ts.classify(_as_troot(m)) for m in t.members)
@@ -159,8 +162,12 @@ def _check_lengths(ts: TRootSystem, *vectors: tuple) -> None:
         )
 
 
-def _all_one_sign(j: IACS, signed) -> bool:
-    return len({sgn * j.signs[idx] for idx, sgn in signed}) == 1
+def _one_sign(signs: tuple[int, ...], ts: TRootSystem) -> tuple[bool, ...]:
+    """Per triple, in t_zero_sum_triples order: do signs give all three members one sign?"""
+    return tuple(
+        a * signs[i] == b * signs[k] == c * signs[m]
+        for (i, a), (k, b), (m, c) in _signed_triples(ts)
+    )
 
 
 def _signed_row(j: IACS, signed, s: int) -> tuple[int, ...]:
@@ -176,7 +183,8 @@ def _metric_constant(g: InvariantMetric, signed) -> bool:
 
 def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
     _check_lengths(ts, j.signs)
-    one_sign = _all_one_sign(j, _signed_members(ts, t))
+    _signed_members(ts, t)  # a member that is no t-root of ts raises here
+    one_sign = _one_sign(j.signs, ts)[t_zero_sum_triples(ts).index(t)]
     return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
 
 
@@ -194,7 +202,7 @@ def is_integrable(j: IACS, ts: TRootSystem) -> bool:
             for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
         )
     )
-    triple_ok = not any(_all_one_sign(j, signed) for signed in _signed_triples(ts))
+    triple_ok = not any(_one_sign(j.signs, ts))
     if pair_ok != triple_ok:
         raise InvariantViolationError(
             f"integrability routes disagree on {ts.flag.label()}: "
@@ -252,8 +260,7 @@ def c_of_j(j: IACS, ts: TRootSystem) -> frozenset[TRoot]:
     _check_lengths(ts, j.signs)
     return frozenset(
         ts.positive[idx]
-        for signed in _signed_triples(ts)
-        if _all_one_sign(j, signed)
+        for signed in itertools.compress(_signed_triples(ts), _one_sign(j.signs, ts))
         for idx, _ in signed
     )
 
@@ -281,8 +288,7 @@ def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
     _check_lengths(ts, j.signs, g.lambdas)
     direct = all(
         _metric_constant(g, signed)
-        for signed in _signed_triples(ts)
-        if _all_one_sign(j, signed)
+        for signed in itertools.compress(_signed_triples(ts), _one_sign(j.signs, ts))
     )
     if direct and not c_of_j(j, ts) <= c_of_g(g, ts):
         raise InvariantViolationError(
@@ -374,8 +380,8 @@ def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     s = len(ts.positive)
     rows = [
         _signed_row(j, signed, s)
-        for signed in _signed_triples(ts)
-        if not _all_one_sign(j, signed)
+        for signed, one in zip(_signed_triples(ts), _one_sign(j.signs, ts))
+        if not one
     ]
     res = solve_positive_kernel(rows, s)
     return QKFeasibility(res.feasible, res.sample, tuple(rows), res.certificate)
@@ -400,12 +406,12 @@ def kahler_triple_sum(
     g: InvariantMetric, j: IACS, t: ZeroSumTriple, ts: TRootSystem
 ) -> Fraction:
     """Signed metric sum over one triple; zero on every triple means closed form."""
-    _check_lengths(ts, g.lambdas)
-    return _metric_sum(g, triple_sum_row(j, t, ts))
+    _check_lengths(ts, j.signs, g.lambdas)
+    return _triple_sum(g, j.signs, _signed_members(ts, t))
 
 
-def _metric_sum(g: InvariantMetric, row: tuple[int, ...]) -> Fraction:
-    return sum((c * lam for c, lam in zip(row, g.lambdas) if c), start=Fraction(0))
+def _triple_sum(g: InvariantMetric, signs: tuple[int, ...], signed) -> Fraction:
+    return sum((sgn * signs[idx] * g.lambdas[idx] for idx, sgn in signed), start=Fraction(0))
 
 
 def classify_structure(
@@ -419,10 +425,9 @@ def classify_structure(
     """
     _check_lengths(ts, j.signs, g.lambdas)
     integrable = is_integrable(j, ts)
-    s = len(ts.positive)
     sums = [
-        (_all_one_sign(j, signed), _metric_sum(g, _signed_row(j, signed, s)))
-        for signed in _signed_triples(ts)
+        (one, _triple_sum(g, j.signs, signed))
+        for signed, one in zip(_signed_triples(ts), _one_sign(j.signs, ts))
     ]
     qk = all(v == 0 for one_sign, v in sums if not one_sign)
     closed = all(v == 0 for _, v in sums)
@@ -541,10 +546,7 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
 
     components = s
     for signs in itertools.product((1, -1), repeat=s):
-        j = IACS(signs)
-        for signed in _signed_triples(ts):
-            if not _all_one_sign(j, signed):
-                continue
+        for signed in itertools.compress(_signed_triples(ts), _one_sign(signs, ts)):
             roots = {find(idx) for idx, _ in signed}
             anchor = roots.pop()
             for other in roots:

@@ -218,7 +218,9 @@ def orbits(
 
     Returns index tuples into the input sequence, each sorted ascending,
     ordered by representative; the representative of an orbit is its
-    minimal index.  The input must be closed under the action.
+    minimal index.  The input must be closed under the action, and the
+    elements must act as a group on it: each orbit holds its own seed and
+    no two orbits meet.
     """
     pairs = list(structures)
     index_of = {}
@@ -241,6 +243,10 @@ def orbits(
                     f"image of structure {i} is missing: input is not closed under the action"
                 )
             orbit.add(hit)
+        if i not in orbit or not visited.isdisjoint(orbit):
+            raise InvalidInputError(
+                f"orbit of structure {i} is no partition block: the elements are not a group"
+            )
         visited |= orbit
         out.append(tuple(sorted(orbit)))
     return tuple(out)

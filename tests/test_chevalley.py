@@ -38,6 +38,13 @@ class TestExtScalar:
         assert ExtScalar.sqrt_rational(Q(1, 3)) == ext(c=Q(1, 3))
         assert ExtScalar.sqrt_rational(Q(9, 4)) == ext(a=Q(3, 2))
         assert ExtScalar.sqrt_rational(Q(2, 3)) == ext(d=Q(1, 3))  # sqrt(2/3)=s6/3
+        # sqrt(s * (p/q)^2) = (p/q) * sqrt(s), in the slot of sqrt(s)
+        for slot, s in enumerate((1, 2, 3, 6)):
+            for p in range(1, 13):
+                for q in range(1, 13):
+                    coeffs = [0, 0, 0, 0]
+                    coeffs[slot] = Q(p, q)
+                    assert ExtScalar.sqrt_rational(s * Q(p, q) ** 2) == ext(*coeffs)
         with pytest.raises(ValueError):
             ExtScalar.sqrt_rational(Q(5))
 

@@ -18,7 +18,7 @@ from flagclass.flag import (
     make_flag,
     t_projection,
 )
-from flagclass.rootsys import LieType, Root, build_root_system
+from flagclass.rootsys import LieType, Root, build_root_system, proper_subsets, types_up_to
 
 DESK_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -240,14 +240,19 @@ def test_bridge_a4():
 
 
 def test_bridge_matches_oracle_on_desk_corpus():
-    for f in desk_flags():
-        comps = complement_components(f)
-        for d1, d2 in itertools.combinations(range(1, len(comps) + 1), 2):
-            try:
-                beta = bridge_root(f, d1, d2)
-            except NotConnectedError:
-                continue
-            assert beta in bridge_oracle(f, d1, d2)
+    """Every flag up to rank 6: the bridge exists exactly when the oracle finds one."""
+    for t in types_up_to(6):
+        rs = build_root_system(t)
+        for theta in proper_subsets(t.rank):
+            f = make_flag(rs, theta)
+            comps = complement_components(f)
+            for d1, d2 in itertools.combinations(range(1, len(comps) + 1), 2):
+                expected = bridge_oracle(f, d1, d2)
+                if not expected:
+                    with pytest.raises(NotConnectedError):
+                        bridge_root(f, d1, d2)
+                else:
+                    assert bridge_root(f, d1, d2) in expected
 
 
 def test_bridge_restriction_is_endpoint_sum():

@@ -13,7 +13,7 @@ from flagclass.errors import (
     RootArgumentError,
 )
 from flagclass.flag import build_t_roots, make_flag
-from flagclass.rootsys import LieType, build_root_system, proper_subsets, types_up_to
+from flagclass.rootsys import LieType, Root, build_root_system, proper_subsets, types_up_to
 from flagclass.structures import (
     IACS,
     InvariantMetric,
@@ -403,6 +403,11 @@ def test_validation_errors():
             lambda: classify_structure(g, wrong, ts),
         ):
             with pytest.raises(DimensionMismatchError):
+                call()
+    # a Root, or a string, is not a t-root
+    for bad in (Root((1, 1)), "11"):
+        for call in (lambda: A2_PLUS.sign(ts, bad), lambda: g.value(ts, bad)):
+            with pytest.raises(InvalidInputError):
                 call()
     for wrong in (normal_metric(4), normal_metric(1)):
         for call in (

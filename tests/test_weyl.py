@@ -334,6 +334,19 @@ def test_orbits_detect_non_closed_input():
         orbits(sub, f, [(iacs[1], nm)])
 
 
+def test_orbits_reject_elements_that_are_not_a_group():
+    rs = rs_for("A2")
+    f = make_flag(rs, ())
+    ts = build_t_roots(f)
+    pairs = [(j, normal_metric(3)) for j in enumerate_iacs(ts)]
+    # no elements: every structure would sit in an empty orbit
+    with pytest.raises(InvalidInputError, match="not a group"):
+        orbits((), f, pairs)
+    # one non-identity element: the seeds land outside their own images
+    with pytest.raises(InvalidInputError, match="not a group"):
+        orbits(a_theta(group_for("A2"), f)[1:2], f, pairs)
+
+
 def test_orbits_reject_duplicates():
     rs = rs_for("A2")
     f = make_flag(rs, ())
