@@ -371,7 +371,7 @@ def run_verify(
     """
     _check_rank_cap("verify", max_rank)
     from .chevalley import compute_structure_constants, verify_jacobi
-    from .weyl import WEYL_CAP, a_theta, generate_weyl, weyl_order
+    from .weyl import WEYL_CAP, a_theta, generate_weyl
 
     if weyl_cap is None:
         weyl_cap = WEYL_CAP
@@ -393,9 +393,9 @@ def run_verify(
             f"{t}: root triples do not connect all sign classes",
         )
 
-        if weyl_order(t) <= weyl_cap:
+        try:
             group = generate_weyl(rs, cap=weyl_cap)
-        else:
+        except CapExceededError:
             group = None
 
         for theta in proper_subsets(t.rank):

@@ -58,8 +58,11 @@ class FlagSpec:
 
 
 def make_flag(rs: RootSystem, theta) -> FlagSpec:
-    """Build the flag for white nodes `theta` (1-based simple root indices)."""
-    theta_set = frozenset(int(i) for i in theta)
+    """Build the flag for white nodes `theta` (1-based simple root indices, ints)."""
+    theta = tuple(theta)
+    if any(type(i) is not int for i in theta):
+        raise InvalidInputError(f"theta entries must be ints, got {theta!r}")
+    theta_set = frozenset(theta)
     if not theta_set <= frozenset(range(1, rs.rank + 1)):
         raise InvalidInputError(f"theta {sorted(theta_set)} not within 1..{rs.rank}")
     if len(theta_set) == rs.rank:

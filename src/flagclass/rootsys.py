@@ -66,7 +66,9 @@ class LieType:
         if fam not in _RANK_RULES:
             raise InvalidLieTypeError(f"unknown family {self.family!r}")
         lo, hi = _RANK_RULES[fam]
-        if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
+        if type(self.rank) is not int:
+            raise InvalidLieTypeError(f"rank must be an int, got {self.rank!r}")
+        if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidLieTypeError(f"rank {self.rank} out of bounds for family {fam}")
 
     @classmethod

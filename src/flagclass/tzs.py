@@ -33,13 +33,19 @@ def pm_class_rep(v: Vec) -> Vec:
     return max(v, _neg(v))
 
 
+def _int_vec(v) -> Vec:
+    if any(type(x) is not int for x in v):
+        raise InvalidInputError(f"{v!r} has a coordinate that is not an int")
+    return v
+
+
 def _coerce(item) -> Vec:
     if isinstance(item, tuple):
-        return item
+        return _int_vec(item)
     coords = getattr(item, "coords", None)
     if coords is None:
         raise InvalidInputError(f"cannot read {item!r} as an integer vector")
-    return tuple(coords)
+    return _int_vec(tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class ZeroSumTriple:
     members: tuple[Vec, Vec, Vec]
 
     def __post_init__(self):
-        members = tuple(sorted(self.members))
+        members = tuple(sorted(_int_vec(v) for v in self.members))
         if len(members) != 3:
             raise InvalidInputError("a triple needs exactly three members")
         object.__setattr__(self, "members", members)

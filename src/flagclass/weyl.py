@@ -8,8 +8,9 @@ then lexicographically by permutation.
 
 For a painted diagram, the elements fixing the painted subsystem setwise
 also permute the fibers of the t-projection, hence act on sign vectors
-and metrics by relabeling the positive classes.  Both facts are checked
-at the point of use rather than assumed.
+and metrics by relabeling the positive classes.  The stabilizer is
+checked against Howlett's factorization and the fiber permutation at the
+point of use, rather than assumed.
 """
 from __future__ import annotations
 
@@ -114,10 +115,8 @@ class WeylGroup:
 def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
     """Generate the full group from the simple reflections.
 
-    The projected order is known in closed form per type, so the cap is
-    enforced before any element is built, and the final count is checked
-    against the same formula afterwards.
-    """
+    The cap is checked against the closed-form order before any element is
+    built, and the final count against the same formula afterwards."""
     projected = weyl_order(rs.lie_type)
     if projected > cap:
         raise CapExceededError(
@@ -127,22 +126,7 @@ def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
         WeylElement(tuple(rs.index[simple_reflection(rs, i, b)] for b in rs.all_roots))
         for i in range(1, rs.rank + 1)
     )
-    identity = tuple(range(len(rs.all_roots)))
-    # the sweep composes bare permutations: w after s is itemgetter(*s)(w)
-    steps = [itemgetter(*s.perm) for s in generators]
-    seen = {identity}
-    elements = [WeylElement(identity)]
-    frontier = [identity]
-    while frontier:
-        discovered = set()
-        for w in frontier:
-            for step in steps:
-                img = step(w)
-                if img not in seen:
-                    seen.add(img)
-                    discovered.add(img)
-        frontier = sorted(discovered)
-        elements.extend(WeylElement(p) for p in frontier)
+    elements = [WeylElement(p) for p in _closure(len(rs.all_roots), generators)]
     if len(elements) != projected:
         raise InvariantViolationError(
             f"generated {len(elements)} elements of {rs.lie_type}, closed form says {projected}"
@@ -150,32 +134,48 @@ def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
     return WeylGroup(rs, tuple(elements), generators)
 
 
-def _stabilizes(w: WeylElement, indices: frozenset[int]) -> bool:
-    return all(w.perm[i] in indices for i in indices)
+def _closure(n: int, gens) -> list[tuple[int, ...]]:
+    """Permutations of range(n) generated by gens, by word length, then by
+    permutation; the sweep composes bare tuples: w after s is itemgetter(*s.perm)(w)."""
+    steps = [itemgetter(*s.perm) for s in gens]
+    out = frontier = [tuple(range(n))]
+    seen = set(out)
+    while frontier:
+        frontier = sorted({img for w in frontier for step in steps if (img := step(w)) not in seen})
+        seen.update(frontier)
+        out.extend(frontier)
+    return out
+
+
+def _a_theta_test(f: FlagSpec):
+    """Positions of Delta_Theta, and the membership test for A_Theta on permutations:
+    w fixes R_Theta = R ∩ span(Delta_Theta) setwise iff w(Delta_Theta) ⊆ R_Theta,
+    as w is linear and a bijection of R that maps R_Theta into itself fixes it."""
+    index = f.rs.index
+    simple = tuple(index[f.rs.simple_roots[i - 1]] for i in sorted(f.theta))
+    theta = frozenset(index[r] for r in f.r_theta)
+    return simple, lambda perm: theta.issuperset(map(perm.__getitem__, simple))
 
 
 def a_theta(w: WeylGroup, f: FlagSpec) -> tuple[WeylElement, ...]:
     """Elements fixing the painted subsystem setwise, in group order.
 
-    Fixing R_Theta setwise and mapping R_M into itself are equivalent for
-    a bijection of R, and every element is checked both ways rather than
-    relying on the complement argument.
-    """
+    Checked against Howlett's A_Theta = W_Theta ⋊ N_Theta (J. London Math. Soc.
+    21, 1980): W_Theta, from Theta's reflections by generate_weyl's closure, lies
+    inside, and N_Theta, the kept w with w(Delta_Theta) = Delta_Theta, fills the count."""
     if w.rs is not f.rs:
         raise InvalidInputError("group and flag were built from different root systems")
-    theta_idx = frozenset(f.rs.index[r] for r in f.r_theta)
-    m_idx = frozenset(f.rs.index[r] for r in f.r_m)
-    kept = []
-    for elem in w.elements:
-        fixes_theta = _stabilizes(elem, theta_idx)
-        fixes_m = _stabilizes(elem, m_idx)
-        if fixes_theta != fixes_m:
-            raise InvariantViolationError(
-                f"element fixes R_Theta={fixes_theta} but maps R_M into R_M={fixes_m}"
-            )
-        if fixes_theta:
-            kept.append(elem)
-    return tuple(kept)
+    simple, member = _a_theta_test(f)
+    kept = tuple(e for e in w.elements if member(e.perm))
+    perms = {e.perm for e in kept}
+    w_theta = _closure(len(f.rs.all_roots), [w.generators[i - 1] for i in sorted(f.theta)])
+    inside = perms.issuperset(w_theta)
+    n_theta = sum(1 for p in perms if {p[i] for i in simple} == set(simple))
+    if not inside or len(kept) != len(w_theta) * n_theta:
+        raise InvariantViolationError(
+            f"kept {len(kept)}, |W_Theta| = {len(w_theta)} (inside: {inside}), |N_Theta| = {n_theta}"
+        )
+    return kept
 
 
 def act_on_structure(
@@ -189,10 +189,10 @@ def act_on_structure(
     of one fiber must land in a single class.
     """
     ts = build_t_roots(f)
-    theta_idx = frozenset(f.rs.index[r] for r in f.r_theta)
     if len(omega.perm) != len(f.rs.all_roots):
         raise DimensionMismatchError("element and flag live on different root systems")
-    if not _stabilizes(omega, theta_idx):
+    _, member = _a_theta_test(f)
+    if not member(omega.perm):
         raise NotInSubgroupError("element does not fix the painted subsystem")
     _check_lengths(ts, j.signs, g.lambdas)
     new_signs = []

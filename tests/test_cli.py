@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import flagclass
-from flagclass import chevalley, cli
+from flagclass import chevalley, cli, weyl
 from flagclass.chevalley import StructureConstants, compute_structure_constants
 from flagclass.errors import InvariantViolationError
+from flagclass.flag import make_flag
 from flagclass.rootsys import LieType
 
 
@@ -416,6 +417,37 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
     assert code == 3
     assert any(line.startswith("FAIL jacobi") for line in out.splitlines())
+
+
+def test_verify_detects_a_faulted_weyl_group(capsys, monkeypatch):
+    real = weyl.generate_weyl
+
+    def faulted(rs, cap=weyl.WEYL_CAP):
+        # the last element fixing R_Theta for theta=(1,) now sends alpha_1 outside it
+        w = real(rs, cap=cap)
+        if rs.rank == 1:
+            return w
+        theta = {rs.index[b] for b in make_flag(rs, (1,)).r_theta}
+        last = max(k for k, e in enumerate(w.elements) if {e.perm[i] for i in theta} == theta)
+        perm = list(w.elements[last].perm)
+        alpha, outside = rs.index[rs.simple_roots[0]], perm.index(min(set(perm) - theta))
+        perm[alpha], perm[outside] = perm[outside], perm[alpha]
+        elements = w.elements[:last] + (weyl.WeylElement(tuple(perm)),) + w.elements[last + 1 :]
+        return weyl.WeylGroup(rs, elements, w.generators)
+
+    # run_verify looks the name up in weyl on each call
+    monkeypatch.setattr(weyl, "generate_weyl", faulted)
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[-1].startswith("FAIL weyl-stabilizer: A2 theta=(1,): kept 1,")
+    assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_verify_weyl_cap_skips_groups_over_it(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2", "--weyl-cap", "6")
+    assert code == 0
+    assert "PASS weyl-stabilizer (4 cases, 6 skipped by cap)" in out.splitlines()
 
 
 def test_module_entrypoint_runs():

@@ -82,6 +82,10 @@ def test_theta_out_of_range_rejected():
         make_flag(rs, {0, 1})
     with pytest.raises(InvalidInputError):
         make_flag(rs, {3})
+    # entries are ints: no rounding, no bools, no characters of a string
+    for theta in ([1.7], [True], "x", [1, 1.0]):
+        with pytest.raises(InvalidInputError, match="must be ints"):
+            make_flag(rs, theta)
 
 
 def test_painted_part_splits_roots():

@@ -193,6 +193,9 @@ def test_type_parsing_and_bounds():
         LieType("B", 1)
     with pytest.raises(InvalidLieTypeError):
         LieType("E", 9)
+    for rank in (True, 2.0, "2"):
+        with pytest.raises(InvalidLieTypeError, match="must be an int"):
+            LieType("A", rank)
     with pytest.raises(InvalidLieTypeError):
         LieType.parse("H4")
     with pytest.raises(InvalidLieTypeError):

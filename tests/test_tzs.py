@@ -12,7 +12,7 @@ from flagclass.errors import (
     NotConnectedError,
 )
 from flagclass.flag import build_t_roots, make_flag
-from flagclass.rootsys import LieType, build_root_system
+from flagclass.rootsys import LieType, Root, build_root_system
 from flagclass.tzs import (
     TzsChain,
     ZeroSumTriple,
@@ -97,6 +97,9 @@ def test_triple_validation():
         ZeroSumTriple(((1, 0), (0, 1), (1, 1)))
     with pytest.raises(InvalidInputError):
         ZeroSumTriple(((0, 0), (1, 0), (-1, 0)))
+    for members in (((0.5,), (0.5,), (-1,)), ((True,), (1,), (-2,))):
+        with pytest.raises(InvalidInputError, match="not an int"):
+            ZeroSumTriple(members)
 
 
 def test_triple_members_canonically_sorted():
@@ -110,6 +113,14 @@ def test_functional_set_validation():
         make_functional_set([(1, 0)])
     with pytest.raises(InvalidInputError):
         make_functional_set([(0, 0)])
+    # coordinates are ints on both the tuple path and the .coords path
+    for items in (
+        [(0.5,), (-0.5,), (1.0,), (-1.0,)],
+        [(True,), (-1,)],
+        [Root((1,)), Root((-1,)), Root((0.5,)), Root((-0.5,))],
+    ):
+        with pytest.raises(InvalidInputError, match="not an int"):
+            make_functional_set(items)
 
 
 def test_functional_set_accepts_coord_carriers():

@@ -13,7 +13,13 @@ from flagclass.errors import (
     NotInSubgroupError,
 )
 from flagclass.flag import build_t_roots, make_flag
-from flagclass.rootsys import LieType, build_root_system, inner_product, types_up_to
+from flagclass.rootsys import (
+    LieType,
+    build_root_system,
+    inner_product,
+    proper_subsets,
+    types_up_to,
+)
 from flagclass.structures import (
     IACS,
     InvariantMetric,
@@ -24,6 +30,7 @@ from flagclass.structures import (
 )
 from flagclass.weyl import (
     WeylElement,
+    WeylGroup,
     a_theta,
     act_on_structure,
     generate_weyl,
@@ -199,6 +206,36 @@ def test_a_theta_equals_rm_preservation_desk():
                 for e in w.elements:
                     preserves_m = all(e.apply(rs, b) in m_set for b in f.r_m)
                     assert (e in sub) == preserves_m
+
+
+def _faulted_group(w, f):
+    """w with its last element of A_Theta, found by brute force, replaced by a
+    permutation that sends the first simple root of Theta outside R_Theta."""
+    rs = f.rs
+    theta_set = set(f.r_theta)
+    last = max(
+        k for k, e in enumerate(w.elements) if {e.apply(rs, b) for b in f.r_theta} == theta_set
+    )
+    perm = list(w.elements[last].perm)
+    alpha = rs.index[rs.simple_roots[min(f.theta) - 1]]
+    outside = perm.index(rs.index[next(b for b in rs.all_roots if b not in theta_set)])
+    perm[alpha], perm[outside] = perm[outside], perm[alpha]
+    elements = w.elements[:last] + (WeylElement(tuple(perm)),) + w.elements[last + 1 :]
+    return WeylGroup(rs, elements, w.generators)
+
+
+def test_a_theta_rejects_a_faulted_group():
+    faulted = 0
+    for t in types_up_to(3):
+        w = group_for(str(t))
+        for theta in filter(None, proper_subsets(t.rank)):
+            f = make_flag(w.rs, theta)
+            bad = _faulted_group(w, f)
+            assert bad.elements != w.elements
+            with pytest.raises(InvariantViolationError, match="N_Theta"):
+                a_theta(bad, f)
+            faulted += 1
+    assert faulted == 24
 
 
 def test_action_examples_a2():
