@@ -1,9 +1,8 @@
 """Exact homogeneous linear feasibility over the rationals.
 
-Two problem shapes cover everything the classifier needs: strict sign
-systems (is there a point with prescribed strict signs on a family of
-functionals) and positive kernels (is there a strictly positive solution
-of a homogeneous equality system).  Both are decided by one integer
+Both questions the classifier asks are strict: a point where every row, a
+plain coefficient tuple, is > 0, and a strictly positive solution of E x = 0,
+answered as one `QKFeasibility`.  Both are decided by one integer
 Fourier-Motzkin elimination, whose equality rows are first removed by
 substitution, so answers are exact and samples rational.  The run that
 derives 0 > 0 returns checked Farkas weights on its input rows; for a
@@ -38,25 +37,31 @@ FM_ROW_CAP = 10**5
 
 
 @dataclass(frozen=True)
-class StrictRow:
-    """A homogeneous constraint coeffs . x > 0 (strict) or >= 0."""
+class QKFeasibility:
+    """Answer to E x = 0 with x > 0: a checked sample or certificate, and E as given."""
 
-    coeffs: Row
-    strict: bool = True
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
     feasible: bool
     sample: tuple[Fraction, ...] | None
+    equations: tuple[Row, ...]
     certificate: tuple[Fraction, ...] | None
+
+
+def _check_rows(rows, n: int) -> tuple[Row, ...]:
+    """rows as a tuple, refused unless each has length n and int or Fraction entries (no bools)."""
+    rows = tuple(rows)
+    for r in rows:
+        if len(r) != n:
+            raise DimensionMismatchError(f"row of length {len(r)}, expected {n}")
+        if not set(map(type, r)) <= {int, Fraction}:
+            raise InvalidInputError(f"row entries must be ints or Fractions, got {r!r}")
+    return rows
 
 
 def _combine(p, q, a: int, b: int):
     """The row (a p + b q) / g in lowest terms; a > 0, and b < 0 only when q is an equality."""
     coeffs = [a * pc + b * qc for pc, qc in zip(p[0], q[0])]
     g = math.gcd(*coeffs) or 1
-    return tuple(c // g for c in coeffs), p[1] or q[1], (p, q, a, b, g)
+    return tuple(c // g for c in coeffs), (p, q, a, b, g)
 
 
 def _substitute(p, q, k: int):
@@ -70,24 +75,20 @@ def _substitute(p, q, k: int):
 def _eliminate(rows, n: int, equalities=()):
     """Fourier-Motzkin elimination: (sample, None) or (None, checked Farkas (W, c)).
 
-    Each row as given (ints or Fractions) is rescaled to coprime ints once,
-    on entry.  Rows are then (int coeffs, strict, origin), origin the input
+    A row means coeffs . x > 0 and an equality coeffs . x = 0.  Each as given
+    (ints or Fractions, checked by the caller) is rescaled to coprime ints
+    once, on entry.  Rows are then (int coeffs, origin), origin the input
     index (the equalities follow the rows) or (p, q, a, b, g) for the derived
     row (a p + b q) / g.  Each equality row in turn removes its lowest nonzero
-    column, its pivot, from every later equality and every inequality; these
+    column, its pivot, from every later equality and every > 0 row; these
     are the pivots of the reduced row echelon form.  FM then takes the free
     variables from the highest index down; the rows recorded per variable
     drive the back substitution, each value picked deterministically inside
     its interval, and the pivots are filled last, in reverse order.
     """
-    given = [(r.coeffs, bool(r.strict)) for r in rows] + [(e, None) for e in equalities]
-    inputs, current, pending = [], [], []
-    for i, (coeffs, strict) in enumerate(given):
-        if len(coeffs) != n:
-            raise DimensionMismatchError(f"row of length {len(coeffs)}, expected {n}")
-        inputs.append((coeffs, strict))
-        row = (scale_to_integers(coeffs), bool(strict), i)
-        (current if strict is not None else pending).append(row)
+    inputs = [*rows, *equalities]
+    current = [(scale_to_integers(c), i) for i, c in enumerate(rows)]
+    pending = [(scale_to_integers(c), i) for i, c in enumerate(equalities, len(rows))]
 
     pivots = []
     while pending:
@@ -117,63 +118,54 @@ def _eliminate(rows, n: int, equalities=()):
         levels.append((k, pos + neg))
         best = {}
         for r in keep + [_combine(p, q, -q[0][k], p[0][k]) for p in pos for q in neg]:
-            if r[0] not in best or (r[1] and not best[r[0]][1]):
-                best[r[0]] = r
-        current = [best[c] for c in sorted(best) if any(c) or best[c][1]]
+            best.setdefault(r[0], r)
+        current = [best[c] for c in sorted(best)]
         if not all(any(r[0]) for r in current):
             break
-    zero = next((r for r in current if r[1] and not any(r[0])), None)
+    zero = next((r for r in current if not any(r[0])), None)
     if zero is not None:
-        return None, _farkas_weights(zero, inputs, n)
+        return None, _farkas_weights(zero, inputs, len(rows), n)
 
     x: list[Fraction | None] = [None] * n
     for k, involved in reversed(levels):
-        lower: tuple[Fraction, bool] | None = None
-        upper: tuple[Fraction, bool] | None = None
-        for coeffs, strict, _ in involved:
+        lowers, uppers = [], []
+        for coeffs, _ in involved:
             rest = sum((coeffs[j] * x[j] for j in range(k) if coeffs[j]), Fraction(0))
-            bound = -rest / coeffs[k]
-            if coeffs[k] > 0:
-                if lower is None or bound > lower[0] or (bound == lower[0] and strict):
-                    lower = (bound, strict)
-            else:
-                if upper is None or bound < upper[0] or (bound == upper[0] and strict):
-                    upper = (bound, strict)
-        if lower is None and upper is None:
-            x[k] = Fraction(0)
-        elif lower is None:
-            x[k] = upper[0] - 1
+            (lowers if coeffs[k] > 0 else uppers).append(-rest / coeffs[k])
+        lower, upper = max(lowers, default=None), min(uppers, default=None)
+        if lower is None:
+            x[k] = Fraction(0) if upper is None else upper - 1
         elif upper is None:
-            x[k] = lower[0] + 1
+            x[k] = lower + 1
+        elif lower < upper:
+            x[k] = (lower + upper) / 2
         else:
-            if lower[0] > upper[0] or (lower[0] == upper[0] and (lower[1] or upper[1])):
-                raise InvariantViolationError("elimination left an empty interval")
-            x[k] = (lower[0] + upper[0]) / 2
+            raise InvariantViolationError("elimination left an empty interval")
     for k, q in reversed(pivots):
         rest = sum((c * x[j] for j, c in enumerate(q[0]) if c and j != k), Fraction(0))
         x[k] = -rest / q[0][k]
     return tuple(x), None
 
 
-def _farkas_weights(zero_row, inputs, n: int) -> tuple[list[int], int]:
-    """Checked (W, c) with sum W_i row_i = 0 on the rows as given, positive on a strict row.
+def _farkas_weights(zero_row, inputs, m: int, n: int) -> tuple[list[int], int]:
+    """Checked (W, c): sum W_i input_i = 0, and W >= 0 and nonzero on the first m inputs, the rows.
 
     Every row carries int weights W and an int scale c > 0, in lowest terms,
     with sum W_i input_i = c row, so the weights on the inputs are W / c.
-    W >= 0 except on the equality rows, which may take either sign.  Parents
-    are shared: memoise by identity.
+    The equalities, after the rows, may take either sign.  Parents are
+    shared: memoise by identity.
     """
     memo: dict[int, tuple[list[int], int]] = {}
 
     def weights(r) -> tuple[list[int], int]:
         if id(r) not in memo:
-            if isinstance(r[2], int):
-                scale = next((Fraction(s) / c for s, c in zip(r[0], inputs[r[2]][0]) if c), Fraction(1))
+            if isinstance(r[1], int):
+                scale = next((Fraction(s) / c for s, c in zip(r[0], inputs[r[1]]) if c), Fraction(1))
                 w = [0] * len(inputs)
-                w[r[2]] = scale.numerator
+                w[r[1]] = scale.numerator
                 memo[id(r)] = w, scale.denominator
             else:
-                p, q, a, b, g = r[2]
+                p, q, a, b, g = r[1]
                 (wp, cp), (wq, cq) = weights(p), weights(q)
                 lcm = math.lcm(cp, cq)
                 a, b = a * (lcm // cp), b * (lcm // cq)
@@ -184,19 +176,19 @@ def _farkas_weights(zero_row, inputs, n: int) -> tuple[list[int], int]:
         return memo[id(r)]
 
     w, c = weights(zero_row)
-    combo = [sum(wi * row[j] for wi, (row, _) in zip(w, inputs) if wi) for j in range(n)]
-    if (
-        any(wi < 0 for wi, (_, strict) in zip(w, inputs) if strict is not None)
-        or any(combo)
-        or not any(wi and strict for wi, (_, strict) in zip(w, inputs))
-    ):
+    combo = [sum(wi * row[j] for wi, row in zip(w, inputs) if wi) for j in range(n)]
+    if any(wi < 0 for wi in w[:m]) or any(combo) or not any(w[:m]):
         raise InvariantViolationError("Farkas weights of an infeasible system fail verification")
     return w, c
 
 
 def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
-    """A rational point satisfying every homogeneous row, or None after checked Farkas weights."""
-    return _eliminate(rows, n)[0]
+    """A rational point x with every row . x > 0, checked, or None after checked Farkas weights."""
+    rows = _check_rows(rows, n)
+    x = _eliminate(rows, n)[0]
+    if x is not None and any(sum(c * v for c, v in zip(r, x)) <= 0 for r in rows):
+        raise InvariantViolationError("strict-rows sample violates a row")
+    return x
 
 
 def scale_to_integers(vec) -> tuple[int, ...]:
@@ -210,7 +202,7 @@ def scale_to_integers(vec) -> tuple[int, ...]:
     return tuple(i // g for i in ints)
 
 
-def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
+def solve_positive_kernel(eq_rows, n: int) -> QKFeasibility:
     """Decide E x = 0 with x strictly positive, exactly.
 
     The fast path rejects any equality whose nonzero coefficients share a
@@ -219,19 +211,14 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
     certificate is negated back on the flipped rows.  The sample or the
     certificate is then checked as ints against the rows as given.
     """
-    rows = list(eq_rows)
-    for r in rows:
-        if len(r) != n:
-            raise DimensionMismatchError(f"row of length {len(r)}, expected {n}")
-        if not set(map(type, r)) <= {int, Fraction}:
-            raise InvalidInputError(f"row entries must be ints or Fractions, got {r!r}")
+    rows = _check_rows(eq_rows, n)
     flipped = []
     for i, r in enumerate(rows):
         nonzero = [c for c in r if c != 0]
         if nonzero and (all(c > 0 for c in nonzero) or all(c < 0 for c in nonzero)):
             cert = [Fraction(0)] * len(rows)
             cert[i] = Fraction(1) if nonzero[0] > 0 else Fraction(-1)
-            return FeasibilityResult(False, None, tuple(cert))
+            return QKFeasibility(False, None, rows, tuple(cert))
         flipped.append(bool(nonzero) and nonzero[0] < 0)
 
     x, cert = _kernel_elimination(
@@ -243,13 +230,13 @@ def solve_positive_kernel(eq_rows, n: int) -> FeasibilityResult:
         combo = [sum(yr * row[j] for yr, row in zip(y, rows) if yr) for j in range(n)]
         if any(v < 0 for v in combo) or not any(combo):
             raise InvariantViolationError("dual certificate fails verification")
-        return FeasibilityResult(False, None, tuple(Fraction(u, c) for u in y))
+        return QKFeasibility(False, None, rows, tuple(Fraction(u, c) for u in y))
     for r in rows:
         if sum(c * v for c, v in zip(r, x)) != 0:
             raise InvariantViolationError("kernel sample violates an equality row")
     if any(v <= 0 for v in x):
         raise InvariantViolationError("kernel sample is not strictly positive")
-    return FeasibilityResult(True, tuple(map(Fraction, x)), None)
+    return QKFeasibility(True, tuple(map(Fraction, x)), rows, None)
 
 
 # one entry per conjugate pair (j, -j) of the 2^12 structures at the default --iacs-cap
@@ -262,7 +249,7 @@ def _kernel_elimination(rows: tuple[Row, ...], n: int):
     -u^T E equal to its weights on x > 0, which are nonnegative and nonzero.
     The caller checks either answer against the rows it was given.
     """
-    positivity = [StrictRow(tuple(int(j == k) for j in range(n))) for k in range(n)]
+    positivity = [tuple(int(j == k) for j in range(n)) for k in range(n)]
     x, weights = _eliminate(positivity, n, rows)
     if x is None:
         w, c = weights

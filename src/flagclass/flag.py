@@ -59,7 +59,10 @@ class FlagSpec:
 
 def make_flag(rs: RootSystem, theta) -> FlagSpec:
     """Build the flag for white nodes `theta` (1-based simple root indices, ints)."""
-    theta = tuple(theta)
+    try:
+        theta = tuple(theta)
+    except TypeError:
+        raise InvalidInputError(f"theta must be an iterable of ints, got {theta!r}") from None
     if any(type(i) is not int for i in theta):
         raise InvalidInputError(f"theta entries must be ints, got {theta!r}")
     theta_set = frozenset(theta)

@@ -23,7 +23,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolationError,
 )
-from .feasibility import StrictRow, scale_to_integers, solve_positive_kernel, solve_strict_rows
+from .feasibility import QKFeasibility, scale_to_integers, solve_positive_kernel, solve_strict_rows
 from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots, t_projection
 from .rootsys import Root
 from .tzs import (
@@ -358,16 +358,6 @@ def g1_oracle(
     return all_vanish
 
 
-@dataclass(frozen=True)
-class QKFeasibility:
-    """Outcome of the quasi-Kahler linear system for one structure."""
-
-    feasible: bool
-    sample: tuple[Fraction, ...] | None
-    equations: tuple[tuple[int, ...], ...]
-    certificate: tuple[Fraction, ...] | None
-
-
 def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[int, ...]:
     """Coefficient row of the signed metric sum over one triple."""
     _check_lengths(ts, j.signs)
@@ -383,8 +373,7 @@ def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
         for signed, one in zip(_signed_triples(ts), _one_sign(j.signs, ts))
         if not one
     ]
-    res = solve_positive_kernel(rows, s)
-    return QKFeasibility(res.feasible, res.sample, tuple(rows), res.certificate)
+    return solve_positive_kernel(rows, s)
 
 
 def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
@@ -398,8 +387,7 @@ def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     _check_lengths(ts, j.signs)
     s = len(ts.positive)
     rows = [_signed_row(j, signed, s) for signed in _signed_triples(ts)]
-    res = solve_positive_kernel(rows, s)
-    return QKFeasibility(res.feasible, res.sample, tuple(rows), res.certificate)
+    return solve_positive_kernel(rows, s)
 
 
 def kahler_triple_sum(
@@ -473,9 +461,9 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
             out.append(IACS(tuple(signs)))
             return
         for sign in (1, -1):
-            row = StrictRow(tuple(sign * c for c in pos[k].coords))
+            row = tuple(sign * c for c in pos[k].coords)
             child, point = rows + [row], sample
-            if sum(c * v for c, v in zip(row.coeffs, sample)) <= 0:
+            if sum(c * v for c, v in zip(row, sample)) <= 0:
                 x = solve_strict_rows(child, ambient)
                 if x is None:
                     continue

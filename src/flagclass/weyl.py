@@ -15,6 +15,7 @@ point of use, rather than assumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -64,8 +65,13 @@ class WeylElement:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise InvalidInputError("perm is not a permutation of the root indices")
+        perm = self.perm
+        if (
+            not isinstance(perm, Sequence)
+            or not set(map(type, perm)) <= {int}
+            or sorted(perm) != list(range(len(perm)))
+        ):
+            raise InvalidInputError(f"perm is not a permutation of the root indices: {perm!r}")
 
     def apply(self, rs: RootSystem, b: Root) -> Root:
         idx = rs.index.get(b)

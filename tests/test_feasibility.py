@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagclass import feasibility
-from flagclass.errors import CapExceededError, DimensionMismatchError, InvalidInputError
+from flagclass.errors import (
+    CapExceededError,
+    DimensionMismatchError,
+    InvalidInputError,
+    InvariantViolationError,
+)
 from flagclass.feasibility import (
-    StrictRow,
     _kernel_elimination,
     scale_to_integers,
     solve_positive_kernel,
@@ -26,8 +30,7 @@ from flagclass.structures import (
 
 def check_strict(rows, x):
     for r in rows:
-        val = sum(Fraction(c) * v for c, v in zip(r.coeffs, x))
-        assert val > 0 if r.strict else val >= 0, (r, x)
+        assert sum(Fraction(c) * v for c, v in zip(r, x)) > 0, (r, x)
 
 
 def check_certificate(eq_rows, cert):
@@ -41,45 +44,65 @@ def check_certificate(eq_rows, cert):
 
 
 def test_single_variable():
-    x = solve_strict_rows([StrictRow((Fraction(1),),)], 1)
+    x = solve_strict_rows([(Fraction(1),)], 1)
     assert x is not None and x[0] > 0
-    assert solve_strict_rows([StrictRow((Fraction(1),)), StrictRow((Fraction(-1),))], 1) is None
-
-
-def test_weak_rows_allow_boundary():
-    x = solve_strict_rows(
-        [StrictRow((Fraction(1),), strict=False), StrictRow((Fraction(-1),), strict=False)], 1
-    )
-    assert x == (0,)
-    assert (
-        solve_strict_rows(
-            [StrictRow((Fraction(1),)), StrictRow((Fraction(-1),), strict=False)], 1
-        )
-        is None
-    )
+    assert solve_strict_rows([(Fraction(1),), (Fraction(-1),)], 1) is None
 
 
 def test_plane_cone():
     rows = [
-        StrictRow((Fraction(1), Fraction(0))),
-        StrictRow((Fraction(0), Fraction(1))),
-        StrictRow((Fraction(1), Fraction(-1))),
+        (Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(1), Fraction(-1)),
     ]
     x = solve_strict_rows(rows, 2)
     check_strict(rows, x)
 
 
+def test_strict_samples_are_pinned():
+    # the free variables go from the highest index down; each value is the
+    # midpoint of the largest lower and the smallest upper bound, or one past
+    # the only side that has a bound, or 0 when neither has one
+    for rows, n, sample in [
+        ([(1, 0), (0, 1), (1, -1)], 2, (1, Fraction(1, 2))),
+        ([(1, 1), (-1, 1), (2, -1), (3, -1)], 2, (1, Fraction(3, 2))),
+        ([(0, 1)], 2, (0, 1)),
+        ([(-1, 0, 1), (0, -1, 1)], 3, (0, 0, 1)),
+        # a row and its double bound x_1 from above by the same x_0
+        ([(1, -1), (2, -2), (0, 1)], 2, (1, Fraction(1, 2))),
+        # at x = (1, 1/2), x_2 < x_1 and x_2 < x_0 - x_1 give the same upper bound
+        (
+            [(1, -1, 0), (0, 1, 0), (0, 1, -1), (1, -1, -1), (0, 0, 1)],
+            3,
+            (1, Fraction(1, 2), Fraction(1, 4)),
+        ),
+    ]:
+        x = solve_strict_rows(rows, n)
+        assert x == sample, rows
+        assert all(type(v) is Fraction for v in x)
+        check_strict(rows, x)
+
+
+def test_strict_sample_is_checked(monkeypatch):
+    # a point that the elimination got wrong is refused, not returned
+    monkeypatch.setattr(feasibility, "_eliminate", lambda rows, n: ((Fraction(-1),), None))
+    with pytest.raises(InvariantViolationError, match="violates a row"):
+        solve_strict_rows([(1,)], 1)
+
+
 def test_row_length_checked():
     with pytest.raises(DimensionMismatchError):
-        solve_strict_rows([StrictRow((Fraction(1),))], 2)
+        solve_strict_rows([(Fraction(1),)], 2)
 
 
-@pytest.mark.parametrize("entry", [1.0, 0.5, "x", None])
+@pytest.mark.parametrize("entry", [1.0, 0.5, "x", None, True])
 def test_row_entries_must_be_exact(entry):
+    # scale_to_integers reads a bool as an int; the solvers' row guard refuses it
+    if entry is not True:
+        with pytest.raises(InvalidInputError):
+            scale_to_integers((entry, 1))
     with pytest.raises(InvalidInputError):
-        scale_to_integers((entry, 1))
-    with pytest.raises(InvalidInputError):
-        solve_strict_rows([StrictRow((entry, 1))], 2)
+        solve_strict_rows([(entry, 1)], 2)
 
 
 def test_kernel_row_entries_must_be_exact():
@@ -202,7 +225,7 @@ def rows_with_known_point(draw):
             if val == 0:
                 continue
             coeffs = tuple(-c for c in coeffs)
-        rows.append(StrictRow(coeffs, strict=draw(st.booleans())))
+        rows.append(coeffs)
     return rows, n
 
 
@@ -224,7 +247,7 @@ def gordan_infeasible_rows(draw):
     last = tuple(
         -sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)
     )
-    return [StrictRow(r) for r in [*rows, last]], n
+    return [*rows, last], n
 
 
 @settings(max_examples=80, deadline=None)
@@ -337,7 +360,7 @@ def test_conjugate_structures_share_one_answer():
 def test_elimination_row_cap(monkeypatch):
     # x_2 goes first: two rows with a positive and two with a negative
     # coefficient there make a level of four combined rows
-    rows = [StrictRow((1, 1)), StrictRow((-1, 1)), StrictRow((2, -1)), StrictRow((3, -1))]
+    rows = [(1, 1), (-1, 1), (2, -1), (3, -1)]
     monkeypatch.setattr(feasibility, "FM_ROW_CAP", 4)
     check_strict(rows, solve_strict_rows(rows, 2))
     monkeypatch.setattr(feasibility, "FM_ROW_CAP", 3)

@@ -86,6 +86,9 @@ def test_theta_out_of_range_rejected():
     for theta in ([1.7], [True], "x", [1, 1.0]):
         with pytest.raises(InvalidInputError, match="must be ints"):
             make_flag(rs, theta)
+    for theta in (5, None):
+        with pytest.raises(InvalidInputError, match="iterable of ints"):
+            make_flag(rs, theta)
 
 
 def test_painted_part_splits_roots():

@@ -95,6 +95,8 @@ def test_every_public_name_resolves():
     assert all(namespace[name] is getattr(flagclass, name) for name in PUBLIC_NAMES)
     for module in ("chevalley", "weyl", "cli"):
         assert getattr(flagclass, module) is importlib.import_module(f"flagclass.{module}")
+    # one result type for both positive-kernel systems, defined by the solver
+    assert flagclass.QKFeasibility is flagclass.feasibility.QKFeasibility
     with pytest.raises(AttributeError, match="no_such_name"):
         flagclass.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):

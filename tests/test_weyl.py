@@ -131,8 +131,10 @@ def test_elements_distinct_and_bijective():
 
 
 def test_invalid_permutation_rejected():
-    with pytest.raises(InvalidInputError):
-        WeylElement((0, 0, 1))
+    # a permutation is a sequence of ints: no floats, no bools, no bare int
+    for perm in ((0, 0, 1), (0, 1.0), (True, False), 5):
+        with pytest.raises(InvalidInputError):
+            WeylElement(perm)
 
 
 def test_inner_products_preserved():
