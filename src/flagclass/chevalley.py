@@ -18,30 +18,29 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .errors import CartanBracketError, InvariantViolationError, RootArgumentError
+from .errors import CartanBracketError, InvariantViolationError, RootArgumentError, _Frozen
 from .rootsys import Root, RootSystem, inner_product, root_string
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class ExtScalar:
+class ExtScalar(_Frozen):
     """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational components."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: Q
     b: Q
     c: Q
     d: Q
 
-    def __post_init__(self) -> None:
-        for name in "abcd":
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
+    def __init__(self, a: Q, b: Q, c: Q, d: Q) -> None:
+        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
+        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
+        object.__setattr__(self, "c", c if isinstance(c, Fraction) else Fraction(c))
+        object.__setattr__(self, "d", d if isinstance(d, Fraction) else Fraction(d))
 
     @classmethod
     def from_rational(cls, r) -> "ExtScalar":
@@ -105,8 +104,7 @@ class ExtScalar:
 EXT_ZERO = ExtScalar.from_rational(0)
 
 
-@dataclass(frozen=True, eq=False)
-class StructureConstants:
+class StructureConstants(_Frozen, eq=False):
     """Bracket coefficients n_{a,b} for every ordered root pair with a+b a root."""
 
     rs: RootSystem
@@ -208,8 +206,7 @@ _RADICAL_PRODUCT = {
 }
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(_Frozen):
     ok: bool
     counterexample: tuple[Root, Root, Root] | None
 

@@ -431,10 +431,14 @@ def run_verify(
                     len(routes) == 1,
                     f"{where}: integrability routes disagree at signs={j.signs}",
                 )
-                if closed_metric_feasibility(j, ts).feasible:
+                # Borel-Hirzebruch: every invariant complex structure carries
+                # an invariant Kahler metric, so feasible == integrable.
+                feasible = closed_metric_feasibility(j, ts).feasible
+                if feasible or integrable:
                     ak.case(
-                        integrable,
-                        f"{where}: closed metric on non-integrable signs={j.signs}",
+                        feasible == integrable,
+                        f"{where}: closed metric feasible={feasible}, integrable={integrable}"
+                        f" at signs={j.signs}",
                     )
             if len(ts.positive) >= 2:
                 unique.case(

@@ -16,7 +16,6 @@ normalised; every answer, cached or not, is checked against the rows as given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     InvariantViolationError,
+    _Frozen,
 )
 
 Row = tuple[int | Fraction, ...]
@@ -36,8 +36,7 @@ Row = tuple[int | Fraction, ...]
 FM_ROW_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class QKFeasibility:
+class QKFeasibility(_Frozen):
     """Answer to E x = 0 with x > 0: a checked sample or certificate, and E as given."""
 
     feasible: bool

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -19,15 +18,27 @@ from .errors import (
     NotConnectedError,
     ProjectsToZeroError,
     RootArgumentError,
+    _Frozen,
 )
 from .rootsys import Root, RootSystem
 
 
-@dataclass(frozen=True)
-class TRoot:
+class TRoot(_Frozen):
     """A restricted functional as its coefficient tuple over the black nodes."""
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __neg__(self) -> "TRoot":
         return TRoot(tuple(-a for a in self.coords))
@@ -39,8 +50,7 @@ class TRoot:
         return any(self.coords) and all(a >= 0 for a in self.coords)
 
 
-@dataclass(frozen=True)
-class FlagSpec:
+class FlagSpec(_Frozen):
     """A flag manifold datum: root system plus white-node subset Theta."""
 
     rs: RootSystem
@@ -89,8 +99,7 @@ def t_projection(f: FlagSpec, a: Root) -> TRoot:
     return TRoot(tuple(a.coords[i - 1] for i in f.sigma_m))
 
 
-@dataclass(frozen=True, eq=False)
-class TRootSystem:
+class TRootSystem(_Frozen, eq=False):
     """The t-roots of a flag with their fibers in R_M."""
 
     flag: FlagSpec

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidLieTypeError,
     RootArgumentError,
+    _Frozen,
 )
 
 Q = Fraction
@@ -53,23 +53,24 @@ def proper_subsets(rank: int):
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d+)$")
 
 
-@dataclass(frozen=True)
-class LieType:
+class LieType(_Frozen):
     """A simple Lie type, e.g. LieType('A', 3)."""
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        fam = str(self.family).upper()
-        object.__setattr__(self, "family", fam)
+    def __init__(self, family: str, rank: int) -> None:
+        fam = str(family).upper()
         if fam not in _RANK_RULES:
-            raise InvalidLieTypeError(f"unknown family {self.family!r}")
+            raise InvalidLieTypeError(f"unknown family {fam!r}")
         lo, hi = _RANK_RULES[fam]
-        if type(self.rank) is not int:
-            raise InvalidLieTypeError(f"rank must be an int, got {self.rank!r}")
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidLieTypeError(f"rank {self.rank} out of bounds for family {fam}")
+        if type(rank) is not int:
+            raise InvalidLieTypeError(f"rank must be an int, got {rank!r}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidLieTypeError(f"rank {rank} out of bounds for family {fam}")
+        object.__setattr__(self, "family", fam)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -83,11 +84,22 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Frozen):
     """A root as its integer coefficient tuple over the simple basis."""
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
+
+    def __init__(self, coords: tuple[int, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
@@ -166,8 +178,7 @@ def _gram_matrix(t: LieType) -> tuple[tuple[Q, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Frozen, eq=False):
     """An irreducible root system; immutable after construction."""
 
     lie_type: LieType

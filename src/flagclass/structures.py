@@ -5,14 +5,12 @@ invariant metric is a positive rational vector over the same index set.  Every
 geometric condition handled here (integrability, quasi-Kahler, Kahler, G1)
 reduces to sign and equality patterns on zero-sum triples of t-roots, and each
 reduced criterion is checked against an independent route: a tensor evaluation
-on the Weyl basis, a cone realizability test, or a set containment.  The two
-routes must agree; a mismatch raises an invariant violation instead of
-returning a guess.
+on the Weyl basis or a cone realizability test.  The two routes must agree; a
+mismatch raises an invariant violation instead of returning a guess.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     InvariantViolationError,
+    _Frozen,
 )
 from .feasibility import QKFeasibility, scale_to_integers, solve_positive_kernel, solve_strict_rows
 from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots, t_projection
@@ -46,18 +45,27 @@ def _as_troot(v) -> TRoot:
     raise InvalidInputError(f"expected a t-root or a sequence of ints, got {v!r}")
 
 
-@dataclass(frozen=True)
-class IACS:
+class IACS(_Frozen):
     """Almost complex structure: one sign per positive t-root, in canonical order.
 
     The sign at a negative t-root is the negated stored sign.
     """
 
+    __slots__ = ("signs",)
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.signs or any(type(s) is not int or s not in (1, -1) for s in self.signs):
+    def __init__(self, signs: tuple[int, ...]):
+        if not signs or any(type(s) is not int or s not in (1, -1) for s in signs):
             raise InvalidInputError("signs must be a nonempty vector of ints over {+1, -1}")
+        object.__setattr__(self, "signs", signs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.signs == other.signs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.signs,))
 
     def sign(self, ts: TRootSystem, t) -> int:
         _check_lengths(ts, self.signs)
@@ -65,22 +73,30 @@ class IACS:
         return sgn * self.signs[idx]
 
 
-@dataclass(frozen=True)
-class InvariantMetric:
+class InvariantMetric(_Frozen):
     """Invariant metric: one positive rational per positive t-root.
 
     The value at a negative t-root equals the value at its opposite.
     """
 
+    __slots__ = ("lambdas",)
     lambdas: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if any(type(x) is not int and not isinstance(x, Fraction) for x in self.lambdas):
+    def __init__(self, lambdas: tuple[Fraction, ...]):
+        if any(type(x) is not int and not isinstance(x, Fraction) for x in lambdas):
             raise InvalidInputError("metric coefficients must be ints or Fractions")
-        coerced = tuple(Fraction(x) for x in self.lambdas)
+        coerced = tuple(Fraction(x) for x in lambdas)
         if not coerced or any(x <= 0 for x in coerced):
             raise InvalidInputError("metric coefficients must be strictly positive")
         object.__setattr__(self, "lambdas", coerced)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lambdas == other.lambdas
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lambdas,))
 
     def value(self, ts: TRootSystem, t) -> Fraction:
         _check_lengths(ts, self.lambdas)
@@ -279,23 +295,17 @@ def c_of_g(g: InvariantMetric, ts: TRootSystem) -> frozenset[TRoot]:
 def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
     """True iff the metric is constant on every all-equal-sign triple of j.
 
-    Constancy on each such triple puts all of its members into c_of_g, so the
-    containment of c_of_j in c_of_g is implied and asserted.  The reverse
-    containment decides nothing: a member can be covered by some other
-    constant triple while its own all-equal-sign triple still carries two
-    metric values, so only the direct per-triple test is authoritative.
+    Constancy on each such triple puts all of its members into c_of_g, so
+    c_of_j is then contained in c_of_g.  The reverse containment decides
+    nothing: a member can be covered by some other constant triple while its
+    own all-equal-sign triple still carries two metric values, so only the
+    direct per-triple test is authoritative.
     """
     _check_lengths(ts, j.signs, g.lambdas)
-    direct = all(
+    return all(
         _metric_constant(g, signed)
         for signed in itertools.compress(_signed_triples(ts), _one_sign(j.signs, ts))
     )
-    if direct and not c_of_j(j, ts) <= c_of_g(g, ts):
-        raise InvariantViolationError(
-            f"constant triples left a class uncovered on {ts.flag.label()}: "
-            f"signs={j.signs}"
-        )
-    return direct
 
 
 @lru_cache(maxsize=None)
@@ -327,16 +337,13 @@ def g1_oracle(
 ) -> bool:
     """True iff the symmetrized torsion pairing vanishes on every Weyl basis triple.
 
-    Each symmetrized value is assembled twice, once term by term from the
-    constant table and once from the factored single-product form; the two
-    must coincide.
+    Each symmetrized value is summed term by term from the constant table.
     """
     from .chevalley import bracket_coefficient
 
     ts = build_t_roots(f)
     _check_lengths(ts, j.signs, g.lambdas)
     _check_triple_lifts(f)
-    all_vanish = True
     for tri in _root_zero_sum_triples(f):
         eps = {r: j.sign(ts, t_projection(f, r)) for r in tri}
         lam = {r: g.value(ts, t_projection(f, r)) for r in tri}
@@ -345,17 +352,9 @@ def g1_oracle(
         for first, middle, third in ((a, b, c), (b, c, a), (c, a, b)):
             t1 = bracket_coefficient(sc, first, middle) * (lam[third] * envelope)
             t2 = bracket_coefficient(sc, third, middle) * (lam[first] * envelope)
-            total = t1 + t2
-            factored = bracket_coefficient(sc, first, middle) * (
-                (lam[third] - lam[first]) * envelope
-            )
-            if total != factored:
-                raise InvariantViolationError(
-                    f"torsion pairing assembly mismatch on {f.label()} at {tri}"
-                )
-            if not total.is_zero():
-                all_vanish = False
-    return all_vanish
+            if not (t1 + t2).is_zero():
+                return False
+    return True
 
 
 def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[int, ...]:
@@ -381,8 +380,7 @@ def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
 
     Unlike the quasi-Kahler system this keeps the all-equal-sign triples,
     whose rows have coefficients of a single sign and so rule out positive
-    solutions on their own.  Feasible here and non-integrable there would be
-    a closed non-integrable structure, which the classifier forbids.
+    solutions on their own: feasible here implies integrable.
     """
     _check_lengths(ts, j.signs)
     s = len(ts.positive)
@@ -407,9 +405,9 @@ def classify_structure(
 ) -> frozenset[StructureLabel]:
     """Label set for one metric and structure pair.
 
-    A closed form without integrability would be an almost Kahler structure
-    that is not Kahler; positivity of the metric rules that out, so hitting
-    one is an internal contradiction rather than a label.
+    A closed form is integrable: on an all-equal-sign triple the signed sum
+    is plus or minus a sum of three positive coefficients, never zero.  An
+    integrable structure has no such triple, so it is G1 as well.
     """
     _check_lengths(ts, j.signs, g.lambdas)
     integrable = is_integrable(j, ts)
@@ -419,16 +417,7 @@ def classify_structure(
     ]
     qk = all(v == 0 for one_sign, v in sums if not one_sign)
     closed = all(v == 0 for _, v in sums)
-    if closed and not integrable:
-        raise InvariantViolationError(
-            f"closed non-integrable structure on {ts.flag.label()}: signs={j.signs} "
-            f"lambdas={g.lambdas}"
-        )
     g1 = is_g1(g, j, ts)
-    if integrable and not g1:
-        raise InvariantViolationError(
-            f"integrable structure failing G1 on {ts.flag.label()}: signs={j.signs}"
-        )
     labels = set()
     if integrable:
         labels.add(StructureLabel.INTEGRABLE)
@@ -474,8 +463,7 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(_Frozen):
     """Constructive equality certificate between two positive t-roots.
 
     Each chain link is a zero-sum triple together with a structure whose signs
@@ -488,8 +476,7 @@ class PairWitness:
     forcing: tuple[IACS, ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     holds: bool
     witnesses: tuple[PairWitness, ...]
 

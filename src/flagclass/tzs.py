@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolationError,
     NotConnectedError,
+    _Frozen,
 )
 
 Vec = tuple[int, ...]
@@ -48,8 +48,7 @@ def _coerce(item) -> Vec:
     return _int_vec(tuple(coords))
 
 
-@dataclass(frozen=True)
-class FunctionalSet:
+class FunctionalSet(_Frozen):
     """A finite negation-closed set of nonzero integer vectors."""
 
     vectors: frozenset[Vec]
@@ -75,14 +74,14 @@ def make_functional_set(items) -> FunctionalSet:
     return FunctionalSet(vectors)
 
 
-@dataclass(frozen=True)
-class ZeroSumTriple:
+class ZeroSumTriple(_Frozen):
     """A multiset of three functionals summing to zero, stored sorted."""
 
+    __slots__ = ("members",)
     members: tuple[Vec, Vec, Vec]
 
-    def __post_init__(self):
-        members = tuple(sorted(_int_vec(v) for v in self.members))
+    def __init__(self, members: tuple[Vec, Vec, Vec]):
+        members = tuple(sorted(_int_vec(v) for v in members))
         if len(members) != 3:
             raise InvalidInputError("a triple needs exactly three members")
         object.__setattr__(self, "members", members)
@@ -93,6 +92,14 @@ class ZeroSumTriple:
             raise InvalidInputError("zero vector inside a triple")
         if any(sum(col) != 0 for col in zip(*members)):
             raise InvalidInputError(f"members of {members} do not sum to zero")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
 
     def classes(self) -> frozenset[Vec]:
         return frozenset(pm_class_rep(v) for v in self.members)
@@ -116,8 +123,7 @@ def zero_sum_triples(s: FunctionalSet) -> tuple[ZeroSumTriple, ...]:
     return tuple(sorted(found, key=lambda t: t.members))
 
 
-@dataclass(frozen=True)
-class TzsChain:
+class TzsChain(_Frozen):
     """A path of pairwise-meeting zero-sum triples joining two functionals."""
 
     endpoints: tuple[Vec, Vec]
@@ -142,15 +148,14 @@ class TzsChain:
         }
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(_Frozen):
     """Sign-class components under the triple relation, with chain witnesses."""
 
     connected: bool
     class_reps: tuple[Vec, ...]
     components: tuple[tuple[Vec, ...], ...]
     triples: tuple[ZeroSumTriple, ...]
-    witness_chains: tuple[TzsChain, ...] = field(default=())
+    witness_chains: tuple[TzsChain, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,11 +231,7 @@ def connectivity(s: FunctionalSet) -> ConnectivityReport:
         for target in sorted(tree):
             chains.append(_chain_from_tree(base, target, tree))
     return ConnectivityReport(
-        connected=len(comps) <= 1,
-        class_reps=reps,
-        components=tuple(sorted(comps)),
-        triples=zero_sum_triples(s),
-        witness_chains=tuple(chains),
+        len(comps) <= 1, reps, tuple(sorted(comps)), zero_sum_triples(s), tuple(chains)
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolationError,
     NotInSubgroupError,
+    _Frozen,
 )
 from .flag import FlagSpec, build_t_roots, t_projection
 from .rootsys import LieType, Root, RootSystem, inner_product, simple_reflection
@@ -51,8 +51,7 @@ def weyl_order(t: LieType) -> int:
     return _EXCEPTIONAL_ORDERS[f"E{n}"]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(_Frozen):
     """A group element as a permutation of the canonical root list.
 
     perm[i] is the position of the image of the i-th root, so applying
@@ -62,16 +61,17 @@ class WeylElement:
     scratch when a test wants the claim checked rather than trusted.
     """
 
+    __slots__ = ("perm",)
     perm: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        perm = self.perm
+    def __init__(self, perm: tuple[int, ...]) -> None:
         if (
             not isinstance(perm, Sequence)
             or not set(map(type, perm)) <= {int}
             or sorted(perm) != list(range(len(perm)))
         ):
             raise InvalidInputError(f"perm is not a permutation of the root indices: {perm!r}")
+        object.__setattr__(self, "perm", perm)
 
     def apply(self, rs: RootSystem, b: Root) -> Root:
         idx = rs.index.get(b)
@@ -103,8 +103,7 @@ class WeylElement:
         return True
 
 
-@dataclass(frozen=True, eq=False)
-class WeylGroup:
+class WeylGroup(_Frozen, eq=False):
     rs: RootSystem
     elements: tuple[WeylElement, ...]
     generators: tuple[WeylElement, ...]

@@ -13,6 +13,7 @@ import flagclass
 from flagclass import chevalley, cli, weyl
 from flagclass.chevalley import StructureConstants, compute_structure_constants
 from flagclass.errors import InvariantViolationError
+from flagclass.feasibility import QKFeasibility
 from flagclass.flag import make_flag
 from flagclass.rootsys import LieType
 
@@ -442,6 +443,29 @@ def test_verify_detects_a_faulted_weyl_group(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[-1].startswith("FAIL weyl-stabilizer: A2 theta=(1,): kept 1,")
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_metric(
+    capsys, monkeypatch
+):
+    real = cli.closed_metric_feasibility
+
+    def faulted(j, ts):
+        # the all-plus structure is integrable on every flag; call it infeasible on A2 full
+        answer = real(j, ts)
+        if str(ts.flag.rs.lie_type) == "A2" and not ts.flag.theta and set(j.signs) == {1}:
+            return QKFeasibility(False, None, answer.equations, None)
+        return answer
+
+    # run_verify looks the name up in cli on each call
+    monkeypatch.setattr(cli, "closed_metric_feasibility", faulted)
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    assert code == 3
+    failed = [line for line in out.splitlines() if not line.startswith("PASS")]
+    assert failed == [
+        "FAIL ak-equals-k: A2 theta=(): closed metric feasible=False, integrable=True"
+        " at signs=(1, 1, 1)"
+    ]
 
 
 def test_verify_weyl_cap_skips_groups_over_it(capsys):

@@ -2,8 +2,10 @@
 
 The classification needs t-roots and their zero-sum triples only, so `info`,
 `classify` and `sweep` must start without the Chevalley and Weyl layers,
-which only `verify` cross-checks against.  Each case runs in a fresh child
-interpreter, because this process has imported every module already.
+which only `verify` cross-checks against.  The value classes are plain
+frozen classes, so no command pays for importing `dataclasses` and the
+`inspect` module it pulls in.  Each case runs in a fresh child interpreter,
+because this process has imported every module already.
 """
 import json
 import os
@@ -17,14 +19,18 @@ import flagclass
 
 SRC = str(Path(flagclass.__file__).parents[1])
 VERIFY_ONLY = {"flagclass.chevalley", "flagclass.weyl"}
+NEVER_LOADED = ["dataclasses", "inspect"]
 
-# Runs cli.main on argv[1:] and reports the exit code and the loaded
-# flagclass modules on stderr, below whatever the command itself prints.
-RUN_MAIN = """
+# Runs cli.main on argv[1:] and reports the exit code, the loaded flagclass
+# modules and which of NEVER_LOADED got loaded on stderr, below whatever the
+# command itself prints.
+RUN_MAIN = f"""
 import json, sys
 from flagclass import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("flagclass"))]), file=sys.stderr)
+flagclass = sorted(m for m in sys.modules if m.startswith("flagclass"))
+never = [m for m in {NEVER_LOADED!r} if m in sys.modules]
+print(json.dumps([code, flagclass, never]), file=sys.stderr)
 """
 
 BARE_IMPORT = """
@@ -60,9 +66,10 @@ def run_child(*args):
 def test_commands_load_the_verify_layers_only_for_verify(tmp_path, argv, loads_verify_layers):
     argv = [a.replace("{tmp}", str(tmp_path / "sweep")) for a in argv]
     proc = run_child("-c", RUN_MAIN, *argv)
-    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, never = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     assert VERIFY_ONLY & set(loaded) == (VERIFY_ONLY if loads_verify_layers else set())
+    assert never == []
 
 
 def test_bare_import_loads_no_submodule_and_resolves_each_on_access():

@@ -1,6 +1,7 @@
 """Structure classification checked against tensor, cone, and containment routes."""
+import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -537,3 +538,37 @@ def test_triple_consumers_match_coordinate_oracle(name, theta):
         for g in grid:
             g1 = all(c for c, one in zip(constant[g.lambdas], one_sign) if one)
             assert is_g1(g, j, ts) == g1, (j.signs, g.lambdas)
+
+
+def has_cone(beats: set[tuple[int, int]], vertices: int) -> bool:
+    """Four vertices: a 3-cycle, and a fourth that beats all three or that all three beat."""
+    for quad in combinations(range(vertices), 4):
+        for apex in quad:
+            a, b, c = (v for v in quad if v != apex)
+            cycle = {(a, b), (b, c), (c, a)} <= beats or {(b, a), (c, b), (a, c)} <= beats
+            if cycle and (
+                all((apex, v) in beats for v in (a, b, c))
+                or all((v, apex) in beats for v in (a, b, c))
+            ):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_qk_feasible_exactly_when_the_tournament_has_no_cone(rank):
+    # On the full flag of A_n the root e_i - e_k (i < k) is alpha_i + ... + alpha_(k-1);
+    # with sign +1 it is the edge i -> k of a tournament on the n + 1 vertices.
+    ts = build_t_roots(make_flag(build_root_system(LieType("A", rank)), ()))
+    edges = []
+    for t in ts.positive:
+        support = [i for i, a in enumerate(t.coords) if a]
+        assert set(t.coords) <= {0, 1} and support == list(range(support[0], support[-1] + 1))
+        edges.append((support[0], support[-1] + 1))
+    assert sorted(edges) == list(combinations(range(rank + 1), 2))
+    feasible = 0
+    for signs in product((1, -1), repeat=len(edges)):
+        beats = {(i, k) if sgn > 0 else (k, i) for (i, k), sgn in zip(edges, signs)}
+        qk = qk_feasibility(IACS(signs), ts).feasible
+        assert qk == (not has_cone(beats, rank + 1)), signs
+        feasible += qk
+    assert feasible == 2**rank * math.factorial(rank)
