@@ -195,15 +195,8 @@ def bracket_coefficient(sc: StructureConstants, a: Root, b: Root) -> ExtScalar:
     return sc.table.get((a, b), EXT_ZERO)
 
 
-# ExtScalar's components a, b, c, d are the coefficients of these radicals, and
-# _RADICAL_PRODUCT[(r1, r2)] = (r, k) says sqrt(r1) * sqrt(r2) = k * sqrt(r)
+# ExtScalar's components a, b, c, d are the coefficients of these radicals
 _RADICALS = (1, 2, 3, 6)
-_RADICAL_PRODUCT = {
-    (1, 1): (1, 1), (1, 2): (2, 1), (1, 3): (3, 1), (1, 6): (6, 1),
-    (2, 1): (2, 1), (2, 2): (1, 2), (2, 3): (6, 1), (2, 6): (3, 2),
-    (3, 1): (3, 1), (3, 2): (6, 1), (3, 3): (1, 3), (3, 6): (2, 3),
-    (6, 1): (6, 1), (6, 2): (3, 2), (6, 3): (2, 3), (6, 6): (1, 6),
-}
 
 
 class JacobiReport(_Frozen):
@@ -223,10 +216,14 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
     [H, X_r] multiplies X_r by the pairing (r, h).
 
     Each entry is split once into its nonzero (radical, rational) terms on
-    the radicals 1, sqrt2, sqrt3 and sqrt6.  Products of terms follow the
-    fixed rule sqrt(r1) * sqrt(r2) = k * sqrt(r), and sums are kept per
-    radical.  The four radicals are linearly independent over Q, so a sum
-    is zero exactly when each radical's part is zero.
+    the radicals 1, sqrt2, sqrt3 and sqrt6.  They are square-free, so products
+    follow sqrt(r1) * sqrt(r2) = g * sqrt(r1 r2 / g^2) with g = gcd(r1, r2),
+    and sums are kept per radical.  The four radicals are linearly
+    independent over Q, so a sum is zero exactly when each radical's part is
+    zero.  All of it is in ints: the rationals are scaled by L, the lcm of
+    the table's denominators, and the Gram matrix by its own M, so a Jacobi
+    sum is kept scaled by L^2 M and a Cartan residue, linear in the
+    constants, by L.
     """
     rs = sc.rs
     # label roots by their place in coordinate order, so a sorted label
@@ -237,24 +234,32 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
     label[(0,) * rs.rank] = zero
     plus = [[label.get(tuple(map(add, a.coords, b.coords))) for b in ordered] for a in ordered]
     visit = [label[r.coords] for r in rs.all_roots]
+    lcm = math.lcm(*(q.denominator for v in sc.table.values() for q in (v.a, v.b, v.c, v.d)))
     terms = {
         (label[a.coords], label[b.coords]): tuple(
-            (r, q) for r, q in zip(_RADICALS, (v.a, v.b, v.c, v.d)) if q
+            (r, q.numerator * (lcm // q.denominator))
+            for r, q in zip(_RADICALS, (v.a, v.b, v.c, v.d))
+            if q
         )
         for (a, b), v in sc.table.items()
     }
-    # each root times the Gram matrix, so the pairing (z, x) is one short dot product
+    m, gram = rs.int_gram
+    # each root times M * Gram, so M (z, x) is one short dot product
     gram_rows = [
-        [sum((c * g for c, g in zip(r.coords, col) if c), start=Q(0)) for col in zip(*rs.gram)]
-        for r in ordered
+        [sum(c * g for c, g in zip(r.coords, col) if c) for col in zip(*gram)] for r in ordered
     ]
+    product = {
+        (r1, r2): (r1 * r2 // math.gcd(r1, r2) ** 2, math.gcd(r1, r2) * m)
+        for r1 in _RADICALS
+        for r2 in _RADICALS
+    }
 
-    def add_term(acc: dict[int, Q], x: int, y: int, z: int) -> None:
-        # adds the coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
+    def add_term(acc: dict[int, int], x: int, y: int, z: int) -> None:
+        # adds L^2 M times the coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
         s = plus[x][y]
         if s == zero:
             p = sum(g * c for g, c in zip(gram_rows[z], ordered[x].coords) if c)
-            acc[1] = acc.get(1, 0) + p
+            acc[1] = acc.get(1, 0) + lcm * lcm * p
             return
         t1 = terms.get((x, y))
         t2 = terms.get((s, z))
@@ -262,7 +267,7 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
             return
         for r1, q1 in t1:
             for r2, q2 in t2:
-                r, k = _RADICAL_PRODUCT[(r1, r2)]
+                r, k = product[(r1, r2)]
                 acc[r] = acc.get(r, 0) + k * q1 * q2
 
     partners: dict[int, list[int]] = {zero: visit}
@@ -284,7 +289,7 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
                 x, y, z = key
                 if s != zero and plus[s][c] == zero:
                     # residue is a Cartan vector: n_{x,y} z + n_{y,z} x + n_{z,x} y
-                    resid: dict[int, list[Q]] = {}
+                    resid: dict[int, list[int]] = {}
                     for pair, w in (((x, y), z), ((y, z), x), ((z, x), y)):
                         for r, q in terms[pair]:
                             vec = resid.setdefault(r, [0] * rs.rank)
@@ -292,7 +297,7 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
                                 vec[j] += q * wj
                     failed = any(any(vec) for vec in resid.values())
                 else:
-                    acc: dict[int, Q] = {}
+                    acc: dict[int, int] = {}
                     add_term(acc, x, y, z)
                     add_term(acc, y, z, x)
                     add_term(acc, z, x, y)

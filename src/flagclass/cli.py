@@ -180,12 +180,17 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     classes = {True: TripleClass.ZERO_THREE.value, False: TripleClass.ONE_TWO.value}
     structures = enumerate_iacs(ts, cap=iacs_cap)
     entries = []
+    ak_holds = True
     for j in structures:
         qk = qk_feasibility(j, ts)
+        integrable = is_integrable(j, ts)
+        # Borel-Hirzebruch, as in verify: feasible == integrable.  For an
+        # integrable j the closed-metric rows are the QK rows, a cache hit.
+        ak_holds &= closed_metric_feasibility(j, ts).feasible == integrable
         entries.append(
             {
                 "signs": list(j.signs),
-                "integrable": is_integrable(j, ts),
+                "integrable": integrable,
                 "c_of_j": sorted(list(t.coords) for t in c_of_j(j, ts)),
                 "qk": {
                     "feasible": qk.feasible,
@@ -197,12 +202,6 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
                 ],
             }
         )
-    # Only a non-integrable structure can break ak-equals-k.
-    ak_holds = not any(
-        closed_metric_feasibility(j, ts).feasible
-        for entry, j in zip(entries, structures)
-        if not entry["integrable"]
-    )
     return {
         "schema": SCHEMA,
         "flag": flag_key(f.rs.lie_type, tuple(sorted(f.theta))),

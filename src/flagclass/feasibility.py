@@ -4,7 +4,9 @@ Both questions the classifier asks are strict: a point where every row, a
 plain coefficient tuple, is > 0, and a strictly positive solution of E x = 0,
 answered as one `QKFeasibility`.  Both are decided by one integer
 Fourier-Motzkin elimination, whose equality rows are first removed by
-substitution, so answers are exact and samples rational.  The run that
+substitution, so answers are exact and samples rational.  Inside, rows are
+coprime ints and a point is ints X over one common denominator D > 0; only
+the samples and certificates callers receive are Fractions.  The run that
 derives 0 > 0 returns checked Farkas weights on its input rows; for a
 positive kernel, minus the weights on the equality rows is the dual
 certificate, a combination of them that is nonnegative and nonzero.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     CapExceededError,
@@ -72,7 +75,7 @@ def _substitute(p, q, k: int):
 
 
 def _eliminate(rows, n: int, equalities=()):
-    """Fourier-Motzkin elimination: (sample, None) or (None, checked Farkas (W, c)).
+    """Fourier-Motzkin elimination: (X, D, None) or (None, None, checked Farkas (W, c)).
 
     A row means coeffs . x > 0 and an equality coeffs . x = 0.  Each as given
     (ints or Fractions, checked by the caller) is rescaled to coprime ints
@@ -83,7 +86,8 @@ def _eliminate(rows, n: int, equalities=()):
     are the pivots of the reduced row echelon form.  FM then takes the free
     variables from the highest index down; the rows recorded per variable
     drive the back substitution, each value picked deterministically inside
-    its interval, and the pivots are filled last, in reverse order.
+    its interval, and the pivots are filled last, in reverse order.  The
+    sample is X / D, D its least common denominator; no bound is divided out.
     """
     inputs = [*rows, *equalities]
     current = [(scale_to_integers(c), i) for i, c in enumerate(rows)]
@@ -123,27 +127,41 @@ def _eliminate(rows, n: int, equalities=()):
             break
     zero = next((r for r in current if not any(r[0])), None)
     if zero is not None:
-        return None, _farkas_weights(zero, inputs, len(rows), n)
+        return None, None, _farkas_weights(zero, inputs, len(rows), n)
 
-    x: list[Fraction | None] = [None] * n
+    x, d = [0] * n, 1  # the point is x / d; an entry not yet set is 0
+
+    def put(k: int, p: int, q: int) -> None:
+        # x_k = p / (q d) with q nonzero; d stays the least common denominator
+        nonlocal d
+        g = math.gcd(p, q * d) * (1 if q > 0 else -1)
+        p, q = p // g, q * d // g
+        m = q // math.gcd(d, q)
+        if m > 1:
+            x[:] = [v * m for v in x]
+            d *= m
+        x[k] = p * (d // q)
+
     for k, involved in reversed(levels):
-        lowers, uppers = [], []
+        lower = upper = None  # a bound (a, b), b > 0, is x_k > a / (b d) or x_k < a / (b d)
         for coeffs, _ in involved:
-            rest = sum((coeffs[j] * x[j] for j in range(k) if coeffs[j]), Fraction(0))
-            (lowers if coeffs[k] > 0 else uppers).append(-rest / coeffs[k])
-        lower, upper = max(lowers, default=None), min(uppers, default=None)
+            c, rest = coeffs[k], sum(map(mul, coeffs, x))
+            if c > 0:
+                if lower is None or -rest * lower[1] > lower[0] * c:
+                    lower = -rest, c
+            elif upper is None or rest * upper[1] < -upper[0] * c:
+                upper = rest, -c
         if lower is None:
-            x[k] = Fraction(0) if upper is None else upper - 1
+            put(k, *((0, 1) if upper is None else (upper[0] - upper[1] * d, upper[1])))
         elif upper is None:
-            x[k] = lower + 1
-        elif lower < upper:
-            x[k] = (lower + upper) / 2
+            put(k, lower[0] + lower[1] * d, lower[1])
+        elif lower[0] * upper[1] < upper[0] * lower[1]:
+            put(k, lower[0] * upper[1] + upper[0] * lower[1], 2 * lower[1] * upper[1])
         else:
             raise InvariantViolationError("elimination left an empty interval")
     for k, q in reversed(pivots):
-        rest = sum((c * x[j] for j, c in enumerate(q[0]) if c and j != k), Fraction(0))
-        x[k] = -rest / q[0][k]
-    return tuple(x), None
+        put(k, -sum(map(mul, q[0], x)), q[0][k])
+    return tuple(x), d, None
 
 
 def _farkas_weights(zero_row, inputs, m: int, n: int) -> tuple[list[int], int]:
@@ -184,45 +202,48 @@ def _farkas_weights(zero_row, inputs, m: int, n: int) -> tuple[list[int], int]:
 def solve_strict_rows(rows, n: int) -> tuple[Fraction, ...] | None:
     """A rational point x with every row . x > 0, checked, or None after checked Farkas weights."""
     rows = _check_rows(rows, n)
-    x = _eliminate(rows, n)[0]
-    if x is not None and any(sum(c * v for c, v in zip(r, x)) <= 0 for r in rows):
+    x, d, _ = _eliminate(rows, n)
+    if x is None:
+        return None
+    if any(sum(map(mul, r, x)) <= 0 for r in rows):
         raise InvariantViolationError("strict-rows sample violates a row")
-    return x
+    return tuple(Fraction(v, d) for v in x)
 
 
 def scale_to_integers(vec) -> tuple[int, ...]:
     """Positive rescale of a vector of ints or Fractions to coprime integer entries."""
-    try:
-        lcm = math.lcm(*(x.denominator for x in vec))
-        ints = [x.numerator * (lcm // x.denominator) for x in vec]
-    except AttributeError:
-        raise InvalidInputError(f"row entries must be ints or Fractions, got {vec!r}") from None
-    g = math.gcd(*ints) or 1
-    return tuple(i // g for i in ints)
+    ints = vec
+    if not all(type(x) is int for x in vec):
+        try:
+            lcm = math.lcm(*(x.denominator for x in vec))
+            ints = [x.numerator * (lcm // x.denominator) for x in vec]
+        except AttributeError:
+            raise InvalidInputError(f"row entries must be ints or Fractions, got {vec!r}") from None
+    g = math.gcd(*ints)
+    return tuple(i // g for i in ints) if g > 1 else tuple(ints)
 
 
 def solve_positive_kernel(eq_rows, n: int) -> QKFeasibility:
     """Decide E x = 0 with x strictly positive, exactly.
 
-    The fast path rejects any equality whose nonzero coefficients share a
-    sign.  Otherwise each row is negated if its first nonzero entry is
-    negative, and `_kernel_elimination` answers the normalised system; its
-    certificate is negated back on the flipped rows.  The sample or the
+    One pass over the rows takes the fast path, rejecting an equality whose
+    nonzero coefficients share a sign, or negates the row if its first nonzero
+    entry is negative.  `_kernel_elimination` answers the normalised system;
+    its certificate is negated back on the flipped rows.  The sample or the
     certificate is then checked as ints against the rows as given.
     """
     rows = _check_rows(eq_rows, n)
-    flipped = []
+    key, flipped = [], []
     for i, r in enumerate(rows):
-        nonzero = [c for c in r if c != 0]
-        if nonzero and (all(c > 0 for c in nonzero) or all(c < 0 for c in nonzero)):
+        lo, hi = min(r, default=0), max(r, default=0)
+        if (lo < 0) != (hi > 0):
             cert = [Fraction(0)] * len(rows)
-            cert[i] = Fraction(1) if nonzero[0] > 0 else Fraction(-1)
+            cert[i] = Fraction(1 if hi > 0 else -1)
             return QKFeasibility(False, None, rows, tuple(cert))
-        flipped.append(bool(nonzero) and nonzero[0] < 0)
+        flipped.append(next((c < 0 for c in r if c), False))
+        key.append(tuple(-c for c in r) if flipped[-1] else tuple(r))
 
-    x, cert = _kernel_elimination(
-        tuple(tuple(-c for c in r) if f else tuple(r) for r, f in zip(rows, flipped)), n
-    )
+    x, cert = _kernel_elimination(tuple(key), n)
     if x is None:
         y, c = cert
         y = [-u if f else u for u, f in zip(y, flipped)]
@@ -230,9 +251,8 @@ def solve_positive_kernel(eq_rows, n: int) -> QKFeasibility:
         if any(v < 0 for v in combo) or not any(combo):
             raise InvariantViolationError("dual certificate fails verification")
         return QKFeasibility(False, None, rows, tuple(Fraction(u, c) for u in y))
-    for r in rows:
-        if sum(c * v for c, v in zip(r, x)) != 0:
-            raise InvariantViolationError("kernel sample violates an equality row")
+    if any(sum(map(mul, r, x)) for r in rows):
+        raise InvariantViolationError("kernel sample violates an equality row")
     if any(v <= 0 for v in x):
         raise InvariantViolationError("kernel sample is not strictly positive")
     return QKFeasibility(True, tuple(map(Fraction, x)), rows, None)
@@ -249,7 +269,7 @@ def _kernel_elimination(rows: tuple[Row, ...], n: int):
     The caller checks either answer against the rows it was given.
     """
     positivity = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    x, weights = _eliminate(positivity, n, rows)
+    x, _, weights = _eliminate(positivity, n, rows)
     if x is None:
         w, c = weights
         return None, (tuple(-u for u in w[n:]), c)

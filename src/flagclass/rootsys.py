@@ -2,16 +2,19 @@
 
 Roots are integer coordinate vectors over the simple basis in Bourbaki
 numbering.  Inner products come from the Gram matrix of the simple roots,
-normalized so that long roots have squared length 2; everything downstream
-is a Fraction, never a float.
+normalized so that long roots have squared length 2, and held also as the
+int matrix M * gram, M its least common denominator: a pairing is one int dot
+product, which `inner_product` divides by M once; never a float.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -199,6 +202,12 @@ class RootSystem(_Frozen, eq=False):
         return {r: i for i, r in enumerate(self.all_roots)}
 
     @cached_property
+    def int_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(M, M * gram): the least positive M that makes the Gram matrix integral."""
+        m = math.lcm(*(g.denominator for row in self.gram for g in row))
+        return m, tuple(tuple(g.numerator * (m // g.denominator) for g in row) for row in self.gram)
+
+    @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.all_roots if r.is_positive())
 
@@ -216,30 +225,28 @@ class RootSystem(_Frozen, eq=False):
         return tuple(out)
 
 
-def inner_product(rs: RootSystem, a: Root, b: Root) -> Q:
-    """Exact bilinear form on integer coefficient vectors."""
+def _scaled_product(rs: RootSystem, a: Root, b: Root) -> int:
+    """M (a, b), M the scale of `rs.int_gram`."""
     n = rs.rank
     if len(a.coords) != n or len(b.coords) != n:
         raise DimensionMismatchError(
             f"expected vectors of length {n}, got {len(a.coords)} and {len(b.coords)}"
         )
-    total = Q(0)
-    for i, ai in enumerate(a.coords):
-        if not ai:
-            continue
-        row = rs.gram[i]
-        for j, bj in enumerate(b.coords):
-            if bj:
-                total += ai * bj * row[j]
-    return total
+    rows = rs.int_gram[1]
+    return sum(ai * sum(map(mul, rows[i], b.coords)) for i, ai in enumerate(a.coords) if ai)
+
+
+def inner_product(rs: RootSystem, a: Root, b: Root) -> Q:
+    """Exact bilinear form on integer coefficient vectors."""
+    return Q(_scaled_product(rs, a, b), rs.int_gram[0])
 
 
 def cartan_pairing(rs: RootSystem, b: Root, a: Root) -> int:
     """2(b,a)/(a,a); an integer whenever a is a root."""
-    val = 2 * inner_product(rs, b, a) / inner_product(rs, a, a)
-    if val.denominator != 1:
+    val, rem = divmod(2 * _scaled_product(rs, b, a), _scaled_product(rs, a, a))
+    if rem:
         raise RootArgumentError(f"pairing of {b} against {a} is not integral")
-    return int(val)
+    return val
 
 
 @functools.lru_cache(maxsize=None)

@@ -266,7 +266,7 @@ def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
         eb = sb * j.signs[ib]
         et = st * j.signs[it]
         factor = ea * eb + 1 - et * (ea + eb)
-        if factor != 0 and not (n * factor).is_zero():
+        if factor != 0 and not n.is_zero():
             return False
     return True
 

@@ -218,6 +218,12 @@ SINGLE_ENTRY_FAULTS = {
     "times-sqrt2": lambda n: n * ext(b=1),
     "times-sqrt3": lambda n: n * ext(c=1),
     "plus-one": lambda n: n + ext(a=1),
+    # non-integral faults: verify_jacobi scales by the lcm of the table's
+    # denominators, which are 1 on these types but G2 (3) and C3 (2); so 5
+    # and 7 are new on every type, and 3 on all but G2
+    "plus-one-third": lambda n: n + ext(a=Q(1, 3)),
+    "times-two-fifths": lambda n: n * Q(2, 5),
+    "plus-sqrt6-over-7": lambda n: n + ext(d=Q(-1, 7)),
 }
 
 

@@ -468,6 +468,23 @@ def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_me
     ]
 
 
+def test_classify_ak_equals_k_reads_false_when_no_structure_has_a_closed_metric(
+    capsys, monkeypatch
+):
+    asked = []
+
+    def infeasible(j, ts):
+        asked.append(j.signs)
+        return QKFeasibility(False, None, (), None)
+
+    monkeypatch.setattr(cli, "closed_metric_feasibility", infeasible)
+    payload = run_json(capsys, "classify", "--type", "A3", "--theta")
+    # every structure is asked, the 24 integrable ones of the 64 among them
+    assert len(asked) == len(payload["iacs"]) == 64
+    assert sum(e["integrable"] for e in payload["iacs"]) == 24
+    assert payload["theorems"]["ak_equals_k"] is False
+
+
 def test_verify_weyl_cap_skips_groups_over_it(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2", "--weyl-cap", "6")
     assert code == 0

@@ -76,6 +76,12 @@ def test_strict_samples_are_pinned():
             3,
             (1, Fraction(1, 2), Fraction(1, 4)),
         ),
+        # x_1 is bounded from above only, by x_1 < x_0 / 2
+        ([(1, 0), (1, -2)], 2, (1, Fraction(-1, 2))),
+        # x_0 = -1, then x_1 is the midpoint of -2 < x_1 < 1
+        ([(-1, 0), (-2, 1), (-1, -1)], 2, (-1, Fraction(-1, 2))),
+        # the same with Fraction entries: -6 < x_1 < 1
+        ([(Fraction(-1, 2), 0), (-2, Fraction(1, 3)), (-1, -1)], 2, (-1, Fraction(-5, 2))),
     ]:
         x = solve_strict_rows(rows, n)
         assert x == sample, rows
@@ -83,9 +89,27 @@ def test_strict_samples_are_pinned():
         check_strict(rows, x)
 
 
+def test_kernel_samples_are_pinned():
+    # pivots with coefficients 2 and 3: x_0 and x_1 get denominators 2 and 3,
+    # or 6 when the second pivot feeds the first; samples are rescaled to coprime ints
+    for rows, n, sample in [
+        ([(2, -3, 0)], 3, (3, 2, 2)),
+        ([(2, 0, -1), (0, 3, -1)], 3, (3, 2, 6)),
+        ([(2, -1, 0), (0, 3, -1)], 3, (1, 2, 6)),
+        ([(0, 3, -2, -1), (2, -3, 0, 0)], 4, (3, 2, 2, 2)),
+        ([(Fraction(2, 5), 0, -1), (0, 3, Fraction(-1, 7))], 3, (105, 2, 42)),
+    ]:
+        result = solve_positive_kernel(rows, n)
+        assert result.feasible and result.sample == sample, rows
+        assert all(type(v) is Fraction for v in result.sample)
+        for r in rows:
+            assert sum(Fraction(c) * v for c, v in zip(r, result.sample)) == 0
+
+
 def test_strict_sample_is_checked(monkeypatch):
-    # a point that the elimination got wrong is refused, not returned
-    monkeypatch.setattr(feasibility, "_eliminate", lambda rows, n: ((Fraction(-1),), None))
+    # a point that the elimination got wrong is refused, not returned; the
+    # elimination hands back its point as ints X over one denominator D, here -1 / 1
+    monkeypatch.setattr(feasibility, "_eliminate", lambda rows, n: ((-1,), 1, None))
     with pytest.raises(InvariantViolationError, match="violates a row"):
         solve_strict_rows([(1,)], 1)
 

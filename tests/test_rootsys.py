@@ -186,6 +186,28 @@ def test_pairing_integrality_everywhere():
                 assert isinstance(cartan_pairing(rs, b, a), int)
 
 
+def test_inner_product_equals_a_fraction_sum_over_the_gram_matrix():
+    # every type up to rank 4, G2 and F4 among them
+    for t in all_desk_types(4):
+        rs = build_root_system(t)
+        for a in rs.all_roots:
+            for b in rs.all_roots:
+                want = sum(
+                    (Q(ai * bj) * rs.gram[i][j]
+                     for i, ai in enumerate(a.coords) for j, bj in enumerate(b.coords)),
+                    start=Q(0),
+                )
+                got = inner_product(rs, a, b)
+                assert type(got) is Fraction and got == want, (t, a, b)
+
+
+def test_non_integral_pairing_is_refused():
+    # (a2, 2 a1) = -2 and (2 a1, 2 a1) = 8: the pairing would be -1/2
+    rs = build_root_system(LieType("A", 2))
+    with pytest.raises(RootArgumentError, match="not integral"):
+        cartan_pairing(rs, Root((0, 1)), Root((2, 0)))
+
+
 def test_type_parsing_and_bounds():
     assert LieType.parse("a3") == LieType("A", 3)
     assert str(LieType.parse(" G2 ")) == "G2"
