@@ -34,6 +34,7 @@ from .structures import (
     IACS_CAP,
     TripleClass,
     _one_sign,
+    _pairs_integrable,
     c_of_j,
     closed_metric_feasibility,
     enumerate_iacs,
@@ -425,7 +426,12 @@ def run_verify(
             chambers = {c.signs for c in t_chambers(ts)}
             for j in enumerate_iacs(ts, cap=iacs_cap):
                 integrable = is_integrable(j, ts)
-                routes = {integrable, nijenhuis_oracle(f, sc, j), j.signs in chambers}
+                routes = {
+                    integrable,
+                    _pairs_integrable(j, ts),
+                    nijenhuis_oracle(f, sc, j),
+                    j.signs in chambers,
+                }
                 fourway.case(
                     len(routes) == 1,
                     f"{where}: integrability routes disagree at signs={j.signs}",

@@ -87,8 +87,12 @@ class LieType(_Frozen):
         return f"{self.family}{self.rank}"
 
 
-class Root(_Frozen):
-    """A root as its integer coefficient tuple over the simple basis."""
+class _Coords(_Frozen):
+    """An integer coordinate vector; the shared base of `Root` and `flag.TRoot`.
+
+    Equality needs the same class, so a root never equals a t-root, and
+    negation and addition return the class of the left operand.
+    """
 
     __slots__ = ("coords",)
     coords: tuple[int, ...]
@@ -104,14 +108,23 @@ class Root(_Frozen):
     def __hash__(self) -> int:
         return hash((self.coords,))
 
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+    def __neg__(self):
+        return self.__class__(tuple(-a for a in self.coords))
+
+    def __add__(self, other):
+        return self.__class__(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
+
+    def is_positive(self) -> bool:
+        return any(self.coords) and all(a >= 0 for a in self.coords)
+
+
+class Root(_Coords):
+    """A root as its integer coefficient tuple over the simple basis."""
+
+    __slots__ = ()
 
     def __sub__(self, other: "Root") -> "Root":
         return Root(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-a for a in self.coords))
 
     def scaled(self, k: int) -> "Root":
         return Root(tuple(k * a for a in self.coords))
@@ -119,9 +132,6 @@ class Root(_Frozen):
     @property
     def height(self) -> int:
         return sum(self.coords)
-
-    def is_positive(self) -> bool:
-        return any(self.coords) and all(a >= 0 for a in self.coords)
 
     def support(self) -> frozenset[int]:
         """1-based indices of the nonzero coefficients."""

@@ -93,14 +93,6 @@ class ZeroSumTriple(_Frozen):
         if any(sum(col) != 0 for col in zip(*members)):
             raise InvalidInputError(f"members of {members} do not sum to zero")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.members == other.members
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.members,))
-
     def classes(self) -> frozenset[Vec]:
         return frozenset(pm_class_rep(v) for v in self.members)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flagclass
-from flagclass import chevalley, cli, weyl
+from flagclass import chevalley, cli, structures, weyl
 from flagclass.chevalley import StructureConstants, compute_structure_constants
 from flagclass.errors import InvariantViolationError
 from flagclass.feasibility import QKFeasibility
@@ -443,6 +443,30 @@ def test_verify_detects_a_faulted_weyl_group(capsys, monkeypatch):
     lines = out.splitlines()
     assert lines[-1].startswith("FAIL weyl-stabilizer: A2 theta=(1,): kept 1,")
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_verify_prints_a_pair_route_disagreement_as_a_fail_line(capsys, monkeypatch):
+    real = structures._signed_pairs
+
+    def faulted(ts):
+        # on A2 full every sum d + e gets the wrong sign class, so the pair
+        # route calls the all-plus structure non-integrable
+        pairs = real(ts)
+        if str(ts.flag.rs.lie_type) == "A2" and not ts.flag.theta:
+            return tuple((d, e, (t, -st)) for d, e, (t, st) in pairs)
+        return pairs
+
+    # the pair route looks the name up in structures on each call
+    monkeypatch.setattr(structures, "_signed_pairs", faulted)
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    assert code == 3
+    lines = out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == [
+        "FAIL integrability-four-way: A2 theta=(): integrability routes disagree"
+        " at signs=(1, 1, 1)"
+    ]
+    assert len(lines) == 7
 
 
 def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_metric(

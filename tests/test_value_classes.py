@@ -21,7 +21,7 @@ from flagclass.chevalley import (
 )
 from flagclass.feasibility import QKFeasibility
 from flagclass.flag import FlagSpec, TRoot, TRootSystem, build_t_roots, make_flag
-from flagclass.rootsys import LieType, Root, RootSystem, build_root_system
+from flagclass.rootsys import LieType, Root, RootSystem, _Coords, build_root_system
 from flagclass.structures import IACS, InvariantMetric, PairWitness, VerificationReport
 from flagclass.tzs import ConnectivityReport, FunctionalSet, TzsChain, ZeroSumTriple
 from flagclass.weyl import WeylElement, WeylGroup, generate_weyl
@@ -124,6 +124,23 @@ def test_equality_needs_the_same_class():
     assert Root((1, 0)) != Root((0, 1))
     assert IACS((1, -1)) != IACS((1, 1))
     assert len({Root((1, 0)), Root((1, 0)), TRoot((1, 0))}) == 2
+
+
+def test_equality_is_written_once_on_the_coordinate_base():
+    # an identity-compared class holds object's methods, not its own
+    written = [
+        cls for cls in FIELDS
+        if cls.__dict__.get("__eq__", object.__eq__) is not object.__eq__
+        or cls.__dict__.get("__hash__", object.__hash__) is not object.__hash__
+    ]
+    assert written == []
+    assert {"__eq__", "__hash__"} <= _Coords.__dict__.keys()
+    assert issubclass(Root, _Coords) and issubclass(TRoot, _Coords)
+    assert not isinstance(TRoot((1,)), Root)
+    a, b = TRoot((1, 0)), TRoot((0, 1))
+    assert type(-a) is TRoot and type(a + b) is TRoot
+    r, s = Root((1, 0)), Root((0, 1))
+    assert all(type(x) is Root for x in (-r, r + s, r - s, r.scaled(2)))
 
 
 @pytest.mark.parametrize("cls, names, values, by_value", CASES, ids=IDS)
