@@ -446,10 +446,12 @@ def run_verify(
                         f" at signs={j.signs}",
                     )
             if len(ts.positive) >= 2:
-                unique.case(
-                    normal_metric_unique(f, cap=iacs_cap).holds,
-                    f"{where}: a non-normal metric is forced equal by no triple",
-                )
+                try:
+                    holds = normal_metric_unique(f, cap=iacs_cap).holds
+                except InvariantViolationError as e:
+                    unique.case(False, f"{where}: {e}")
+                else:
+                    unique.case(holds, f"{where}: a non-normal metric is forced equal by no triple")
 
     tallies = [jacobi, root_conn, troot_conn, fourway, ak, unique, stab]
     return [tl.line() for tl in tallies], all(tl.ok for tl in tallies)

@@ -91,6 +91,11 @@ class TRootSystem(_Frozen, eq=False):
     def pos_index(self) -> dict[TRoot, int]:
         return {t: i for i, t in enumerate(self.positive)}
 
+    @cached_property
+    def root_class(self) -> dict[Root, tuple[int, int]]:
+        """(index into positive order, sign) of the t-root each root of R_M restricts to."""
+        return {a: self.classify(t) for t, roots in self.fibers.items() for a in roots}
+
     def classify(self, t: TRoot) -> tuple[int, int]:
         """(index into positive order, sign) for a t-root of either sign."""
         idx = self.pos_index.get(t)

@@ -98,7 +98,7 @@ class _Coords(_Frozen):
     coords: tuple[int, ...]
 
     def __init__(self, coords: tuple[int, ...]):
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(coords))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -25,7 +25,7 @@ from .errors import (
     _Frozen,
 )
 from .feasibility import QKFeasibility, scale_to_integers, solve_positive_kernel, solve_strict_rows
-from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots, t_projection
+from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots
 from .rootsys import Root
 from .tzs import (
     TzsChain,
@@ -57,6 +57,7 @@ class IACS(_Frozen):
     signs: tuple[int, ...]
 
     def __init__(self, signs: tuple[int, ...]):
+        signs = tuple(signs)
         if not signs or any(type(s) is not int or s not in (1, -1) for s in signs):
             raise InvalidInputError("signs must be a nonempty vector of ints over {+1, -1}")
         object.__setattr__(self, "signs", signs)
@@ -207,37 +208,25 @@ def _pairs_integrable(j: IACS, ts: TRootSystem) -> bool:
 
 @lru_cache(maxsize=None)
 def _nijenhuis_pairs(f: FlagSpec, sc: StructureConstants):
-    """Per-pair data for the torsion tensor: constants and t-root positions.
+    """Per-pair data for the torsion tensor: n_{a,b} and the classes of a, b and a + b.
 
-    Pairs whose sum restricts to zero contribute nothing; the bracket lands in
-    the isotropy subalgebra and the projection kills it.
+    One record per unordered pair of R_M whose sum lies in R_M, read off the
+    keys of the constant table.  Pairs whose sum lies in R_Theta contribute
+    nothing; the bracket lands in the isotropy subalgebra and the projection
+    kills it.
     """
-    # Imported here, as in g1_oracle: only these oracles need the Chevalley
-    # layer, so classification loads without it.
-    from .chevalley import bracket_coefficient
-
-    ts = build_t_roots(f)
-    roots = sorted(f.r_m, key=lambda r: r.coords)
-    records = []
-    for i, a in enumerate(roots):
-        for b in roots[i + 1:]:
-            total = a + b
-            if total not in f.rs.root_set or total in f.r_theta:
-                continue
-            n = bracket_coefficient(sc, a, b)
-            records.append(
-                (
-                    n,
-                    ts.classify(t_projection(f, a)),
-                    ts.classify(t_projection(f, b)),
-                    ts.classify(t_projection(f, total)),
-                )
-            )
-    return tuple(records)
+    cls = build_t_roots(f).root_class
+    return tuple(
+        (n, cls[a], cls[b], cls[a + b])
+        for (a, b), n in sc.table.items()
+        if a.coords < b.coords and a in cls and b in cls and a + b in cls
+    )
 
 
 def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
     """True iff the torsion of j vanishes on every Weyl basis pair from R_M."""
+    if sc.rs is not f.rs:
+        raise InvalidInputError("flag and constants were built from different root systems")
     _check_lengths(build_t_roots(f), j.signs)
     for n, (ia, sa), (ib, sb), (it, st) in _nijenhuis_pairs(f, sc):
         ea = sa * j.signs[ia]
@@ -297,13 +286,11 @@ def _root_zero_sum_triples(f: FlagSpec) -> tuple[tuple[Root, Root, Root], ...]:
 @lru_cache(maxsize=None)
 def _check_triple_lifts(f: FlagSpec) -> bool:
     """Every zero-sum triple of t-roots must come from a zero-sum triple of roots."""
-    liftable = {
-        tuple(sorted(t_projection(f, r).coords for r in tri))
-        for tri in _root_zero_sum_triples(f)
-    }
     ts = build_t_roots(f)
-    for t in t_zero_sum_triples(ts):
-        if tuple(sorted(t.members)) not in liftable:
+    cls = ts.root_class
+    liftable = {tuple(sorted(cls[r] for r in tri)) for tri in _root_zero_sum_triples(f)}
+    for t, signed in zip(t_zero_sum_triples(ts), _signed_triples(ts)):
+        if tuple(sorted(signed)) not in liftable:
             raise InvariantViolationError(
                 f"t-root triple {t.members} on {f.label()} has no root-level lift"
             )
@@ -315,21 +302,23 @@ def g1_oracle(
 ) -> bool:
     """True iff the symmetrized torsion pairing vanishes on every Weyl basis triple.
 
-    Each symmetrized value is summed term by term from the constant table.
+    Each symmetrized value is summed term by term from the constant table,
+    which holds every pair of a zero-sum root triple.
     """
-    from .chevalley import bracket_coefficient
-
+    if sc.rs is not f.rs:
+        raise InvalidInputError("flag and constants were built from different root systems")
     ts = build_t_roots(f)
     _check_lengths(ts, j.signs, g.lambdas)
     _check_triple_lifts(f)
+    cls, table = ts.root_class, sc.table
     for tri in _root_zero_sum_triples(f):
-        eps = {r: j.sign(ts, t_projection(f, r)) for r in tri}
-        lam = {r: g.value(ts, t_projection(f, r)) for r in tri}
+        eps = {r: cls[r][1] * j.signs[cls[r][0]] for r in tri}
+        lam = {r: g.lambdas[cls[r][0]] for r in tri}
         a, b, c = tri
         envelope = eps[a] * eps[b] + eps[a] * eps[c] + eps[b] * eps[c] + 1
         for first, middle, third in ((a, b, c), (b, c, a), (c, a, b)):
-            t1 = bracket_coefficient(sc, first, middle) * (lam[third] * envelope)
-            t2 = bracket_coefficient(sc, third, middle) * (lam[first] * envelope)
+            t1 = table[first, middle] * (lam[third] * envelope)
+            t2 = table[third, middle] * (lam[first] * envelope)
             if not (t1 + t2).is_zero():
                 return False
     return True

@@ -105,14 +105,17 @@ class ZeroSumTriple(_Frozen):
 
 @functools.lru_cache(maxsize=None)
 def zero_sum_triples(s: FunctionalSet) -> tuple[ZeroSumTriple, ...]:
-    """Every multiset {a, b, c} ⊆ s with a + b + c = 0, in canonical order."""
+    """Every multiset {a, b, c} ⊆ s with a + b + c = 0, in canonical order.
+
+    Members a <= b <= c come once, from the one pair (a, b), in lexicographic order.
+    """
     vecs = sorted(s.vectors)
-    found = set()
+    out = []
     for a, b in itertools.combinations_with_replacement(vecs, 2):
         c = _neg(tuple(x + y for x, y in zip(a, b)))
         if c >= b and c in s.vectors:
-            found.add(ZeroSumTriple((a, b, c)))
-    return tuple(sorted(found, key=lambda t: t.members))
+            out.append(ZeroSumTriple((a, b, c)))
+    return tuple(out)
 
 
 class TzsChain(_Frozen):

@@ -26,7 +26,7 @@ from .errors import (
     NotInSubgroupError,
     _Frozen,
 )
-from .flag import FlagSpec, build_t_roots, t_projection
+from .flag import FlagSpec, build_t_roots
 from .rootsys import LieType, Root, RootSystem, inner_product, simple_reflection
 from .structures import IACS, InvariantMetric, _check_lengths
 
@@ -71,7 +71,7 @@ class WeylElement(_Frozen):
             or sorted(perm) != list(range(len(perm)))
         ):
             raise InvalidInputError(f"perm is not a permutation of the root indices: {perm!r}")
-        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "perm", tuple(perm))
 
     def apply(self, rs: RootSystem, b: Root) -> Root:
         idx = rs.index.get(b)
@@ -189,7 +189,8 @@ def act_on_structure(
     """Pull back a sign vector and metric along an element of A_Theta.
 
     The new value at the class of beta is the old value at the class of
-    omega(beta).  That is well defined only if omega permutes the fibers,
+    omega(beta), read from `root_class`; omega maps R_M onto itself, as it
+    fixes R_Theta.  That is well defined only if omega permutes the fibers,
     which is re-derived here for every class instead of assumed: all roots
     of one fiber must land in a single class.
     """
@@ -203,9 +204,7 @@ def act_on_structure(
     new_signs = []
     new_lams = []
     for t in ts.positive:
-        targets = {
-            ts.classify(t_projection(f, omega.apply(f.rs, b))) for b in ts.fiber(t)
-        }
+        targets = {ts.root_class[omega.apply(f.rs, b)] for b in ts.fiber(t)}
         if len(targets) != 1:
             raise InvariantViolationError(
                 f"fiber of {t} lands in {len(targets)} classes under the action"

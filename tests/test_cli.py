@@ -16,6 +16,7 @@ from flagclass.errors import InvariantViolationError
 from flagclass.feasibility import QKFeasibility
 from flagclass.flag import make_flag
 from flagclass.rootsys import LieType
+from flagclass.tzs import ConnectivityReport
 
 
 def run_cli(capsys, *argv):
@@ -465,6 +466,26 @@ def test_verify_prints_a_pair_route_disagreement_as_a_fail_line(capsys, monkeypa
     assert failed == [
         "FAIL integrability-four-way: A2 theta=(): integrability routes disagree"
         " at signs=(1, 1, 1)"
+    ]
+    assert len(lines) == 7
+
+
+def test_verify_prints_a_uniqueness_disagreement_as_a_fail_line(capsys, monkeypatch):
+    real = structures.connectivity
+
+    def disconnected(fs):
+        report = real(fs)
+        return ConnectivityReport(False, report.class_reps, report.components, report.triples)
+
+    # normal_metric_unique looks the name up in structures on each call
+    monkeypatch.setattr(structures, "connectivity", disconnected)
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    assert code == 3
+    lines = out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == [
+        "FAIL normal-metric-uniqueness: A2 theta=(): uniqueness sweep disagrees"
+        " with triple connectivity on A2 theta="
     ]
     assert len(lines) == 7
 

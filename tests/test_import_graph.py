@@ -7,6 +7,7 @@ frozen classes, so no command pays for importing `dataclasses` and the
 `inspect` module it pulls in.  Each case runs in a fresh child interpreter,
 because this process has imported every module already.
 """
+import ast
 import json
 import os
 import subprocess
@@ -84,3 +85,17 @@ def test_module_entrypoint_is_imported_once():
     proc = run_child("-W", "error", "-m", "flagclass.cli", "info", "--type", "A2", "--theta=")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_structures_imports_nothing_from_chevalley():
+    # at module level or inside a function: classification never loads the
+    # Chevalley layer, and the constant-based oracles take its table as given
+    tree = ast.parse(Path(flagclass.__file__).with_name("structures.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+    assert "feasibility" in names
+    assert [n for n in names if "chevalley" in n.split(".")] == []

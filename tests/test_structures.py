@@ -1,19 +1,20 @@
 """Structure classification checked against tensor, cone, and containment routes."""
 import math
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from flagclass import structures
-from flagclass.chevalley import compute_structure_constants
+from flagclass.chevalley import bracket_coefficient, compute_structure_constants
 from flagclass.errors import (
     CapExceededError,
     DimensionMismatchError,
     InvalidInputError,
     RootArgumentError,
 )
-from flagclass.flag import build_t_roots, make_flag
+from flagclass.flag import build_t_roots, make_flag, t_projection
 from flagclass.rootsys import LieType, Root, build_root_system, proper_subsets, types_up_to
 from flagclass.structures import (
     IACS,
@@ -152,6 +153,38 @@ def test_nijenhuis_examples():
     irr = make_flag(rs_for("A3"), frozenset({2, 3}))
     for j in enumerate_iacs(build_t_roots(irr)):
         assert nijenhuis_oracle(irr, sc_for("A3"), j)
+
+
+def test_nijenhuis_pairs_match_a_double_loop_over_r_m():
+    # one record per unordered pair of R_M whose sum lies in R_M, with the
+    # constant and the classes of a, b and a + b found by restriction
+    for t in types_up_to(4):
+        rs = build_root_system(t)
+        sc = compute_structure_constants(rs)
+        for theta in proper_subsets(t.rank):
+            f = make_flag(rs, theta)
+            ts = build_t_roots(f)
+
+            def cls(r):
+                return ts.classify(t_projection(f, r))
+
+            expected = Counter(
+                (bracket_coefficient(sc, a, b), cls(a), cls(b), cls(a + b))
+                for a, b in combinations(sorted(f.r_m, key=lambda r: r.coords), 2)
+                if a + b in f.r_m
+            )
+            assert Counter(structures._nijenhuis_pairs(f, sc)) == expected, f.label()
+
+
+@pytest.mark.parametrize("other", ["B3", "C3"])
+def test_constant_oracles_refuse_constants_of_another_system(other):
+    f = make_flag(rs_for("A3"), ())
+    s = len(build_t_roots(f).positive)
+    j, g = IACS((1,) * s), normal_metric(s)
+    with pytest.raises(InvalidInputError, match="different root systems"):
+        nijenhuis_oracle(f, sc_for(other), j)
+    with pytest.raises(InvalidInputError, match="different root systems"):
+        g1_oracle(f, sc_for(other), g, j)
 
 
 def test_integrability_routes_agree_desk():

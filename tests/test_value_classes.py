@@ -185,6 +185,11 @@ def test_constructors_keep_their_coercions():
     assert all(type(x) is Fraction for x in InvariantMetric((1, 2)).lambdas)
     assert ZeroSumTriple(((1, 0), (0, 1), (-1, -1))).members == TRIPLE.members
     assert all(type(x) is Fraction for x in (ExtScalar(1, 2, 3, 4).a, ExtScalar(1, 2, 3, 4).d))
+    # a list is stored as a tuple: hashable, equal to the tuple-built value, printed alike
+    for cls, value in ((IACS, (1, -1)), (WeylElement, (1, 0)), (Root, (1, 0)), (TRoot, (1, 0))):
+        x, y = cls(list(value)), cls(value)
+        assert getattr(x, FIELDS[cls][0]) == value
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
 
 
 def test_connectivity_report_defaults_to_no_witness_chains():
