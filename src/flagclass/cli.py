@@ -479,16 +479,16 @@ def build_parser() -> _Parser:
 
     p_classify = sub.add_parser("classify", help="classify every structure on one flag")
     add_flag_args(p_classify)
-    p_classify.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
+    p_classify.add_argument("--iacs-cap", type=_int_in(1, IACS_CAP), default=DEFAULT_IACS_CAP)
 
     p_sweep = sub.add_parser("sweep", help="classification reports for every small flag")
     p_sweep.add_argument("--max-rank", type=_int_in(1), default=2)
     p_sweep.add_argument("--out", help="output directory (required unless FLAGCLASS_OUT is set)")
-    p_sweep.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
+    p_sweep.add_argument("--iacs-cap", type=_int_in(1, IACS_CAP), default=DEFAULT_IACS_CAP)
 
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
     p_verify.add_argument("--max-rank", type=_int_in(1), default=DEFAULT_VERIFY_RANK)
-    p_verify.add_argument("--iacs-cap", type=_int_in(0, IACS_CAP), default=DEFAULT_IACS_CAP)
+    p_verify.add_argument("--iacs-cap", type=_int_in(1, IACS_CAP), default=DEFAULT_IACS_CAP)
     # None stands for weyl.WEYL_CAP, resolved by run_verify, so that parsing
     # loads no Weyl layer.
     p_verify.add_argument("--weyl-cap", type=_int_in(1), default=None)

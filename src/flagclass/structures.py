@@ -16,6 +16,7 @@ import itertools
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 
 from .errors import (
     CapExceededError,
@@ -146,10 +147,11 @@ def _signed_pairs(ts: TRootSystem):
     Built from t-root sums, never from the triples, so the pair route
     (`_pairs_integrable`) keeps data independent of `is_integrable`'s.
     """
-    roots = ts.t_roots
+    cls = {t.coords: ts.classify(t) for t in ts.t_roots}
     return tuple(
-        (ts.classify(d), ts.classify(e), ts.classify(d + e))
-        for d in roots for e in roots if d + e in roots
+        (cls[d], cls[e], cls[t])
+        for d in cls for e in cls
+        if (t := tuple(map(add, d, e))) in cls
     )
 
 
@@ -215,11 +217,12 @@ def _nijenhuis_pairs(f: FlagSpec, sc: StructureConstants):
     nothing; the bracket lands in the isotropy subalgebra and the projection
     kills it.
     """
-    cls = build_t_roots(f).root_class
+    cls = {r.coords: c for r, c in build_t_roots(f).root_class.items()}
     return tuple(
-        (n, cls[a], cls[b], cls[a + b])
+        (n, cls[a.coords], cls[b.coords], cls[t])
         for (a, b), n in sc.table.items()
-        if a.coords < b.coords and a in cls and b in cls and a + b in cls
+        if a.coords < b.coords and a.coords in cls and b.coords in cls
+        and (t := tuple(map(add, a.coords, b.coords))) in cls
     )
 
 
@@ -401,33 +404,51 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
     """Sign vectors realizable by a regular point: every t-root keeps a strict sign.
 
     A point is parameterized by its pairings with the unpainted simple roots,
-    so each positive t-root evaluates through its coordinate vector.  Sign
-    prefixes are explored depth first and pruned by exact feasibility.  Each
-    node passes its sample down as ints; a child whose new row is strictly
-    positive there is feasible with the same sample, and only the other
-    children run an elimination.
+    so each positive t-root evaluates through its coordinate vector.  If H
+    realizes some signs, -H realizes their negation, so only the + side of
+    the first positive t-root is searched; the - side is that half negated
+    and reversed, which puts it in enumeration order.  Sign prefixes are
+    explored depth first and pruned by exact feasibility.  Each node passes
+    its int sample x down.  A child whose new row r has r.x > 0 keeps x.  If
+    r.x = 0, both children take M x +- r with M = 1 + max |p.r| over the
+    prefix rows p, which is strictly positive on the prefix (p.x >= 1) and
+    on +-r; the sample is checked against the child's rows.  Only a child
+    with r.x < 0 runs an elimination, and most of those prefixes are empty.
     """
     ambient = len(ts.flag.sigma_m)
-    pos = ts.positive
-    out = []
+    pos = [t.coords for t in ts.positive]
+    half = []
 
     def extend(rows, signs, sample):
         k = len(signs)
         if k == len(pos):
-            out.append(IACS(tuple(signs)))
+            half.append(signs)
             return
+        normal = pos[k]
+        at = sum(map(mul, normal, sample))
+        if at == 0:
+            m = 1 + max(abs(sum(map(mul, r, normal))) for r in rows)
         for sign in (1, -1):
-            row = tuple(sign * c for c in pos[k].coords)
-            child, point = rows + [row], sample
-            if sum(c * v for c, v in zip(row, sample)) <= 0:
+            row = tuple(sign * c for c in normal)
+            child = rows + [row]
+            if at == 0:
+                point = tuple(m * v + c for v, c in zip(sample, row))
+                if any(sum(map(mul, r, point)) <= 0 for r in child):
+                    raise InvariantViolationError("split chamber sample violates a row")
+            elif sign * at > 0:
+                point = sample
+            else:
                 x = solve_strict_rows(child, ambient)
                 if x is None:
                     continue
                 point = scale_to_integers(x)
-            extend(child, signs + [sign], point)
+            extend(child, signs + (sign,), point)
 
-    extend([], [], (0,) * ambient)
-    return tuple(out)
+    extend([pos[0]], (1,), pos[0])
+    return tuple(
+        [IACS(signs) for signs in half]
+        + [IACS(tuple(-s for s in signs)) for signs in reversed(half)]
+    )
 
 
 class PairWitness(_Frozen):

@@ -106,6 +106,21 @@ def test_iacs_cap_above_the_hard_cap_is_rejected_at_parse_time(capsys, tmp_path,
     assert code == 0, err
 
 
+@pytest.mark.parametrize("command", ["classify", "sweep", "verify"])
+def test_iacs_cap_zero_is_a_usage_error(capsys, tmp_path, command):
+    # every flag has s >= 1, so cap 0 admits no structure: a pass would be vacuous
+    argv = {
+        "classify": ("classify", "--type", "A2", "--theta"),
+        "sweep": ("sweep", "--max-rank", "2", "--out", str(tmp_path / "sweep")),
+        "verify": ("verify", "--max-rank", "2"),
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--iacs-cap", "0")
+    assert code == 1
+    assert "usage error" in err and "must be at least 1, got 0" in err
+    assert out == ""
+    assert not (tmp_path / "sweep").exists()
+
+
 BENCH_DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text()
 )

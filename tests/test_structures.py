@@ -176,6 +176,21 @@ def test_nijenhuis_pairs_match_a_double_loop_over_r_m():
             assert Counter(structures._nijenhuis_pairs(f, sc)) == expected, f.label()
 
 
+def test_signed_pairs_match_a_double_loop_over_t_roots():
+    # one record per ordered pair of t-roots whose sum is a t-root, in the
+    # order of a double loop over ts.t_roots
+    for t in types_up_to(4):
+        rs = build_root_system(t)
+        for theta in proper_subsets(t.rank):
+            ts = build_t_roots(make_flag(rs, theta))
+            roots = ts.t_roots
+            expected = tuple(
+                (ts.classify(d), ts.classify(e), ts.classify(d + e))
+                for d in roots for e in roots if d + e in roots
+            )
+            assert structures._signed_pairs(ts) == expected, ts.flag.label()
+
+
 @pytest.mark.parametrize("other", ["B3", "C3"])
 def test_constant_oracles_refuse_constants_of_another_system(other):
     f = make_flag(rs_for("A3"), ())
@@ -210,9 +225,31 @@ def test_chamber_counts_on_full_flags():
     assert len(t_chambers(single)) == 2
 
 
+def test_chamber_counts_on_rank4_full_flags():
+    for name, order in {"A4": 120, "B4": 384, "C4": 384, "D4": 192}.items():
+        assert len(t_chambers(full_ts(name))) == order, name
+
+
+def test_chambers_match_sign_vectors_of_grid_points():
+    # every chamber of a flag up to rank 3 holds an integer point of the
+    # grid [-12, 12]^d; the points on no t-root hyperplane give its signs
+    for t in types_up_to(3):
+        for theta in proper_subsets(t.rank):
+            ts = build_t_roots(make_flag(rs_for(str(t)), theta))
+            normals = [p.coords for p in ts.positive]
+            realized = set()
+            for x in product(range(-12, 13), repeat=len(ts.flag.sigma_m)):
+                values = [sum(a * b for a, b in zip(n, x)) for n in normals]
+                if all(values):
+                    realized.add(tuple(1 if v > 0 else -1 for v in values))
+            assert realized == {j.signs for j in t_chambers(ts)}, ts.flag.label()
+
+
 def test_chambers_reuse_parent_samples(monkeypatch):
     # the flags `verify --max-rank 3 --iacs-cap 6` runs the chamber search on;
-    # a node whose new row is positive at its parent's sample runs no elimination
+    # a node whose new row is positive at its parent's sample, or zero there
+    # (a split sample), runs no elimination, and the - side of the first
+    # t-root is never searched
     calls = []
     solve = structures.solve_strict_rows
 
@@ -229,8 +266,8 @@ def test_chambers_reuse_parent_samples(monkeypatch):
                 t_chambers(ts)
                 searched += 1
     assert searched == 29
-    assert len(calls) == 362  # 519 when every node ran its own elimination
-    assert min(calls) == 1  # the root's empty system is never solved
+    assert len(calls) == 72  # 362 with both half-spaces and no split, 519 with neither reuse
+    assert min(calls) == 2  # the search starts from the row of the first t-root
 
 
 def test_chambers_follow_enumeration_order():
