@@ -14,7 +14,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -33,22 +32,32 @@ from .rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from .structures import (
     IACS_CAP,
     TripleClass,
+    _chamber_mask,
+    _closed_candidates_mask,
+    _integrable_mask,
+    _lowest_bit,
+    _mask,
+    _nijenhuis_mask,
     _one_sign,
-    _pairs_integrable,
+    _pairs_mask,
+    _set_bits,
+    _structure,
     c_of_j,
     closed_metric_feasibility,
     enumerate_iacs,
     is_integrable,
-    nijenhuis_oracle,
     normal_metric_unique,
     qk_feasibility,
-    t_chambers,
     t_zero_sum_triples,
 )
 from .tzs import connectivity, make_functional_set
 
 SCHEMA = "flagclass/1"
 DEFAULT_IACS_CAP = 12
+# Largest `verify --iacs-cap`.  verify decides all 2^s structures of a flag
+# as bits of one int, 2^cap / 8 bytes per mask (4 MiB at 25), and builds no
+# structure list, so it is not held to IACS_CAP.
+VERIFY_IACS_CAP = 25
 DEFAULT_VERIFY_RANK = 4
 # Largest `--max-rank` of `verify` and `sweep`.  Rank 6 is the largest the
 # acceptance suite runs Jacobi and t-root connectivity on.  At rank 7 `verify`
@@ -251,6 +260,8 @@ def _dump_json(payload: dict) -> str:
     deep is its own json.dumps with 2*d spaces after every newline, and a
     `null` placeholder at one exact indent marks the one key it stands for.
     """
+    import json
+
     entries = payload.get("iacs")
     if not entries:
         return json.dumps(payload, indent=2) + "\n"
@@ -337,14 +348,18 @@ class _CheckTally:
 
     def __init__(self, name: str):
         self.name = name
-        self.cases = 0
+        self.count = 0
         self.skipped = 0
         self.failure = None
 
     def case(self, ok: bool, detail: str):
-        self.cases += 1
-        if not ok and self.failure is None:
-            self.failure = detail
+        self.cases(1, None if ok else detail)
+
+    def cases(self, n: int, failure: str | None = None):
+        """Count n cases at once, with the first failure among them if any."""
+        self.count += n
+        if failure is not None and self.failure is None:
+            self.failure = failure
 
     def skip(self):
         self.skipped += 1
@@ -352,7 +367,7 @@ class _CheckTally:
     def line(self) -> str:
         if self.failure is not None:
             return f"FAIL {self.name}: {self.failure}"
-        note = f" ({self.cases} cases"
+        note = f" ({self.count} cases"
         note += f", {self.skipped} skipped by cap)" if self.skipped else ")"
         return f"PASS {self.name}{note}"
 
@@ -417,35 +432,42 @@ def run_verify(
                 else:
                     stab.case(True, "")
 
-            if len(ts.positive) > iacs_cap:
+            s = len(ts.positive)
+            if s > iacs_cap:
                 fourway.skip()
                 ak.skip()
                 unique.skip()
                 continue
 
-            chambers = {c.signs for c in t_chambers(ts)}
-            for j in enumerate_iacs(ts, cap=iacs_cap):
-                integrable = is_integrable(j, ts)
-                routes = {
-                    integrable,
-                    _pairs_integrable(j, ts),
-                    nijenhuis_oracle(f, sc, j),
-                    j.signs in chambers,
-                }
-                fourway.case(
-                    len(routes) == 1,
-                    f"{where}: integrability routes disagree at signs={j.signs}",
+            # each route decides every structure at once, bit n for structure n
+            integrable = _integrable_mask(ts)
+            disagree = 0
+            for route in (_pairs_mask(ts), _nijenhuis_mask(f, sc), _chamber_mask(ts)):
+                disagree |= route ^ integrable
+            failure = None
+            if disagree:
+                signs = _structure(_lowest_bit(disagree), s).signs
+                failure = f"{where}: integrability routes disagree at signs={signs}"
+            fourway.cases(1 << s, failure)
+            # Borel-Hirzebruch: every invariant complex structure carries an
+            # invariant Kahler metric, so feasible == integrable.  A closed row
+            # of one sign rules a closed metric out, so only the structures
+            # with none are solved.
+            candidates = _set_bits(_closed_candidates_mask(ts))
+            feasible = _mask(
+                (n for n in candidates if closed_metric_feasibility(_structure(n, s), ts).feasible),
+                s,
+            )
+            wrong = feasible ^ integrable
+            failure = None
+            if wrong:
+                n = _lowest_bit(wrong)
+                failure = (
+                    f"{where}: closed metric feasible={bool(feasible >> n & 1)},"
+                    f" integrable={bool(integrable >> n & 1)} at signs={_structure(n, s).signs}"
                 )
-                # Borel-Hirzebruch: every invariant complex structure carries
-                # an invariant Kahler metric, so feasible == integrable.
-                feasible = closed_metric_feasibility(j, ts).feasible
-                if feasible or integrable:
-                    ak.case(
-                        feasible == integrable,
-                        f"{where}: closed metric feasible={feasible}, integrable={integrable}"
-                        f" at signs={j.signs}",
-                    )
-            if len(ts.positive) >= 2:
+            ak.cases((feasible | integrable).bit_count(), failure)
+            if s >= 2:
                 try:
                     holds = normal_metric_unique(f, cap=iacs_cap).holds
                 except InvariantViolationError as e:
@@ -488,7 +510,9 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="re-run the theorem checks")
     p_verify.add_argument("--max-rank", type=_int_in(1), default=DEFAULT_VERIFY_RANK)
-    p_verify.add_argument("--iacs-cap", type=_int_in(1, IACS_CAP), default=DEFAULT_IACS_CAP)
+    p_verify.add_argument(
+        "--iacs-cap", type=_int_in(1, VERIFY_IACS_CAP), default=DEFAULT_IACS_CAP
+    )
     # None stands for weyl.WEYL_CAP, resolved by run_verify, so that parsing
     # loads no Weyl layer.
     p_verify.add_argument("--weyl-cap", type=_int_in(1), default=None)

@@ -13,6 +13,7 @@ a guess.
 from __future__ import annotations
 
 import itertools
+import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -145,7 +146,7 @@ def _signed_pairs(ts: TRootSystem):
     """(class index, sign) of d, e and d + e for each ordered pair with d + e in R_t.
 
     Built from t-root sums, never from the triples, so the pair route
-    (`_pairs_integrable`) keeps data independent of `is_integrable`'s.
+    (`_pairs_mask`) keeps data independent of `is_integrable`'s.
     """
     cls = {t.coords: ts.classify(t) for t in ts.t_roots}
     return tuple(
@@ -185,8 +186,8 @@ def _metric_constant(g: InvariantMetric, signed) -> bool:
 
 def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
     _check_lengths(ts, j.signs)
-    _signed_members(ts, t)  # a member that is no t-root of ts raises here
-    one_sign = _one_sign(j.signs, ts)[t_zero_sum_triples(ts).index(t)]
+    # a member that is no t-root of ts raises in _signed_members
+    one_sign = len({sgn * j.signs[idx] for idx, sgn in _signed_members(ts, t)}) == 1
     return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
 
 
@@ -194,18 +195,6 @@ def is_integrable(j: IACS, ts: TRootSystem) -> bool:
     """True iff no zero-sum triple of t-roots is all-equal-sign under j."""
     _check_lengths(ts, j.signs)
     return not any(_one_sign(j.signs, ts))
-
-
-def _pairs_integrable(j: IACS, ts: TRootSystem) -> bool:
-    """Sign coherence over all summing pairs of t-roots: the pair route of verify."""
-    _check_lengths(ts, j.signs)
-    return all(
-        ed * ee + 1 == et * (ed + ee)
-        for ed, ee, et in (
-            (sd * j.signs[d], se * j.signs[e], st * j.signs[t])
-            for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
-        )
-    )
 
 
 @lru_cache(maxsize=None)
@@ -449,6 +438,139 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
         [IACS(signs) for signs in half]
         + [IACS(tuple(-s for s in signs)) for signs in reversed(half)]
     )
+
+
+# Every structure of a flag at once.  Structure n, in enumerate_iacs order,
+# gives class i the sign -1 iff bit s-1-i of n is set, so a set of
+# structures is a 2^s-bit int and each route below is one mask: bit n is set
+# iff the route calls structure n integrable.  Each route reads its own
+# table; what they share is the column code.
+
+
+@lru_cache(maxsize=1)
+def _full(s: int) -> int:
+    """The mask of all 2^s structures."""
+    return (1 << (1 << s)) - 1
+
+
+@lru_cache(maxsize=1)
+def _columns(s: int) -> tuple[int, ...]:
+    """Column i: the mask of the structures that give class i the sign -1.
+
+    It is 2^(s-1-i) clear bits then as many set ones, repeated, laid out as
+    a periodic byte pattern.
+    """
+    nbytes = max((1 << s) // 8, 1)
+    cols = []
+    for i in range(s):
+        run = 1 << (s - 1 - i)
+        if run >= 8:
+            unit = bytes(run // 8) + b"\xff" * (run // 8)
+        else:
+            unit = bytes((sum(1 << b for b in range(8) if b // run % 2),))
+        cols.append(int.from_bytes(unit * (nbytes // len(unit)), "little") & _full(s))
+    return tuple(cols)
+
+
+def _agree(s: int, member, other) -> int:
+    """The structures under which two signed members, (class, sign) each, take one sign."""
+    (i, a), (k, b) = member, other
+    cols = _columns(s)
+    x = cols[i] ^ cols[k]
+    return x ^ _full(s) if a == b else x
+
+
+def _structure(n: int, s: int) -> IACS:
+    """Structure n of enumerate_iacs(ts) for a flag with s classes."""
+    return IACS(tuple(-1 if n >> (s - 1 - i) & 1 else 1 for i in range(s)))
+
+
+def _mask(bits, s: int) -> int:
+    """The mask with the given bits set."""
+    out = bytearray(max((1 << s) // 8, 1))
+    for n in bits:
+        out[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(out, "little")
+
+
+def _set_bits(mask: int):
+    """The indices of the set bits of mask, in ascending order."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for hit in re.finditer(rb"[^\x00]", data):
+        k = hit.start()
+        yield from (8 * k + b for b in range(8) if data[k] >> b & 1)
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _integrable_mask(ts: TRootSystem) -> int:
+    """is_integrable on every structure: no zero-sum triple is one-signed."""
+    s = len(ts.positive)
+    one_signed = 0
+    for a, b, c in _signed_triples(ts):
+        one_signed |= _agree(s, a, b) & _agree(s, a, c)
+    return _full(s) ^ one_signed
+
+
+def _pairs_mask(ts: TRootSystem) -> int:
+    """The pair route on every structure: no summing pair has e_d = e_e != e_{d+e}.
+
+    The condition is symmetric in d and e, so each unordered pair is read
+    once.  A member differs in sign from (t, st) where it agrees with (t, -st).
+    """
+    s = len(ts.positive)
+    failing = 0
+    for d, e, (t, st) in {(min(d, e), max(d, e), t) for d, e, t in _signed_pairs(ts)}:
+        failing |= _agree(s, d, e) & _agree(s, d, (t, -st))
+    return _full(s) ^ failing
+
+
+def _nijenhuis_mask(f: FlagSpec, sc: StructureConstants) -> int:
+    """nijenhuis_oracle on every structure: no pair with n_{a,b} != 0 has e_a = e_b != e_{a+b}.
+
+    Those are the pairs whose torsion factor e_a e_b + 1 - e_{a+b} (e_a + e_b)
+    is nonzero.
+    """
+    if sc.rs is not f.rs:
+        raise InvalidInputError("flag and constants were built from different root systems")
+    s = len(build_t_roots(f).positive)
+    failing = 0
+    for n, a, b, (t, st) in _nijenhuis_pairs(f, sc):
+        if not n.is_zero():
+            failing |= _agree(s, a, b) & _agree(s, a, (t, -st))
+    return _full(s) ^ failing
+
+
+def _chamber_mask(ts: TRootSystem) -> int:
+    """The structures realized by a regular point, one bit per chamber of t_chambers."""
+    s = len(ts.positive)
+    return _mask(
+        (int("".join("1" if x < 0 else "0" for x in c.signs), 2) for c in t_chambers(ts)), s
+    )
+
+
+def _closed_candidates_mask(ts: TRootSystem) -> int:
+    """The structures whose closed-metric rows include no single-signed row.
+
+    Only these can have a closed metric: a row whose nonzero coefficients
+    share one sign has no positive zero.  The coefficient of class i in a
+    triple's row is w_i j_i, where w_i sums the signs of the members in
+    class i, so the row is single-signed where its terms (i, sign w_i) agree.
+    """
+    s = len(ts.positive)
+    single = 0
+    for signed in _signed_triples(ts):
+        weights = {}
+        for idx, sgn in signed:
+            weights[idx] = weights.get(idx, 0) + sgn
+        first, *rest = [(idx, 1 if w > 0 else -1) for idx, w in weights.items() if w]
+        row = _full(s)
+        for term in rest:
+            row &= _agree(s, first, term)
+        single |= row
+    return _full(s) ^ single
 
 
 class PairWitness(_Frozen):

@@ -36,7 +36,6 @@ from flagclass.structures import (
     InvariantMetric,
     StructureLabel,
     TripleClass,
-    _pairs_integrable,
     classify_structure,
     classify_triple,
     closed_metric_feasibility,
@@ -58,6 +57,7 @@ from flagclass.tzs import (
     zero_sum_triples,
 )
 from flagclass.weyl import a_theta, act_on_structure, generate_weyl, orbits, weyl_order
+from oracles import pairs_integrable
 
 _SYSTEMS = {}
 _CONSTANTS = {}
@@ -234,7 +234,7 @@ def _four_way_at_scale(name, f, ts):
     for i in sorted(probe):
         j = IACS(tuple(int(x) for x in signs[i]))
         assert is_integrable(j, ts) == bool(triple_route[i])
-        assert _pairs_integrable(j, ts) == bool(pair_route[i])
+        assert pairs_integrable(j, ts) == bool(pair_route[i])
         assert nijenhuis_oracle(f, sc, j) == bool(torsion_route[i])
     return n, zero_three, signs
 
@@ -256,7 +256,7 @@ def test_criterion_04_integrability_four_way():
             for j in enumerate_iacs(ts, cap=s):
                 routes = {
                     is_integrable(j, ts),
-                    _pairs_integrable(j, ts),
+                    pairs_integrable(j, ts),
                     nijenhuis_oracle(f, sc, j),
                     j.signs in chambers,
                 }

@@ -23,15 +23,18 @@ VERIFY_ONLY = {"flagclass.chevalley", "flagclass.weyl"}
 NEVER_LOADED = ["dataclasses", "inspect"]
 
 # Runs cli.main on argv[1:] and reports the exit code, the loaded flagclass
-# modules and which of NEVER_LOADED got loaded on stderr, below whatever the
-# command itself prints.
+# modules, which of NEVER_LOADED got loaded and whether json did on stderr,
+# below whatever the command itself prints.  json is looked up before this
+# script imports it to print the report.
 RUN_MAIN = f"""
-import json, sys
+import sys
 from flagclass import cli
 code = cli.main(sys.argv[1:])
 flagclass = sorted(m for m in sys.modules if m.startswith("flagclass"))
 never = [m for m in {NEVER_LOADED!r} if m in sys.modules]
-print(json.dumps([code, flagclass, never]), file=sys.stderr)
+loaded_json = "json" in sys.modules
+import json
+print(json.dumps([code, flagclass, never, loaded_json]), file=sys.stderr)
 """
 
 BARE_IMPORT = """
@@ -67,10 +70,27 @@ def run_child(*args):
 def test_commands_load_the_verify_layers_only_for_verify(tmp_path, argv, loads_verify_layers):
     argv = [a.replace("{tmp}", str(tmp_path / "sweep")) for a in argv]
     proc = run_child("-c", RUN_MAIN, *argv)
-    code, loaded, never = json.loads(proc.stderr.splitlines()[-1])
+    code, loaded, never, _ = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     assert VERIFY_ONLY & set(loaded) == (VERIFY_ONLY if loads_verify_layers else set())
     assert never == []
+
+
+@pytest.mark.parametrize(
+    "argv, loads_json",
+    [
+        (["info", "--type", "A2", "--theta="], False),
+        (["info", "--type", "A2", "--theta=", "--format", "json"], True),
+        (["classify", "--type", "A2", "--theta="], False),
+        (["verify", "--max-rank", "1"], False),
+    ],
+    ids=["info-text", "info-json", "classify-text", "verify"],
+)
+def test_json_is_loaded_only_to_write_a_json_report(argv, loads_json):
+    proc = run_child("-c", RUN_MAIN, *argv)
+    code, _, _, loaded_json = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded_json is loads_json
 
 
 def test_bare_import_loads_no_submodule_and_resolves_each_on_access():
