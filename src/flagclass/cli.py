@@ -34,9 +34,11 @@ from .structures import (
     TripleClass,
     _chamber_mask,
     _closed_candidates_mask,
+    _closed_witness_mask,
     _integrable_mask,
     _lowest_bit,
     _mask,
+    _mask_and_negations,
     _nijenhuis_mask,
     _one_sign,
     _pairs_mask,
@@ -450,14 +452,20 @@ def run_verify(
                 failure = f"{where}: integrability routes disagree at signs={signs}"
             fourway.cases(1 << s, failure)
             # Borel-Hirzebruch: every invariant complex structure carries an
-            # invariant Kahler metric, so feasible == integrable.  A closed row
-            # of one sign rules a closed metric out, so only the structures
-            # with none are solved.
-            candidates = _set_bits(_closed_candidates_mask(ts))
-            feasible = _mask(
-                (n for n in candidates if closed_metric_feasibility(_structure(n, s), ts).feasible),
-                s,
-            )
+            # invariant Kahler metric, so feasible == integrable.  Each answer
+            # has a checked certificate: the metric a chamber point builds
+            # (_closed_witness_mask), a closed row of one sign, which rules a
+            # closed metric out, or a solve of the closed rows.  Only the
+            # candidates with no witness are solved, one of each pair +-j: the
+            # rows of -j are those of j negated, with the same kernel.
+            witnessed = _closed_witness_mask(ts)
+            plus = (1 << (1 << (s - 1))) - 1  # the structures giving class 0 the sign +1
+            unsolved = _closed_candidates_mask(ts) & ~witnessed & plus
+            solved = [
+                n for n in _set_bits(unsolved)
+                if closed_metric_feasibility(_structure(n, s), ts).feasible
+            ]
+            feasible = witnessed | _mask_and_negations(solved, s)
             wrong = feasible ^ integrable
             failure = None
             if wrong:

@@ -389,20 +389,21 @@ def classify_structure(
     return frozenset(labels)
 
 
-def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
-    """Sign vectors realizable by a regular point: every t-root keeps a strict sign.
+@lru_cache(maxsize=None)
+def _chamber_points(ts: TRootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(signs, int point H) for each chamber on the + side of the first positive t-root.
 
-    A point is parameterized by its pairings with the unpainted simple roots,
-    so each positive t-root evaluates through its coordinate vector.  If H
-    realizes some signs, -H realizes their negation, so only the + side of
-    the first positive t-root is searched; the - side is that half negated
-    and reversed, which puts it in enumeration order.  Sign prefixes are
-    explored depth first and pruned by exact feasibility.  Each node passes
-    its int sample x down.  A child whose new row r has r.x > 0 keeps x.  If
-    r.x = 0, both children take M x +- r with M = 1 + max |p.r| over the
-    prefix rows p, which is strictly positive on the prefix (p.x >= 1) and
-    on +-r; the sample is checked against the child's rows.  Only a child
-    with r.x < 0 runs an elimination, and most of those prefixes are empty.
+    H is parameterized by its pairings with the unpainted simple roots, so
+    each positive t-root evaluates through its coordinate vector, and H is
+    strictly positive on the chamber's signed rows.  Only the + side is
+    searched: if H realizes some signs, -H realizes their negation.  Sign
+    prefixes are explored depth first and pruned by exact feasibility.  Each
+    node passes its int sample x down.  A child whose new row r has r.x > 0
+    keeps x.  If r.x = 0, both children take M x +- r with M = 1 + max |p.r|
+    over the prefix rows p, which is strictly positive on the prefix
+    (p.x >= 1) and on +-r; the sample is checked against the child's rows.
+    Only a child with r.x < 0 runs an elimination, and most of those
+    prefixes are empty.  The chambers come in enumeration order.
     """
     ambient = len(ts.flag.sigma_m)
     pos = [t.coords for t in ts.positive]
@@ -411,7 +412,7 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
     def extend(rows, signs, sample):
         k = len(signs)
         if k == len(pos):
-            half.append(signs)
+            half.append((signs, sample))
             return
         normal = pos[k]
         at = sum(map(mul, normal, sample))
@@ -434,6 +435,16 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
             extend(child, signs + (sign,), point)
 
     extend([pos[0]], (1,), pos[0])
+    return tuple(half)
+
+
+def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
+    """Sign vectors realizable by a regular point: every t-root keeps a strict sign.
+
+    The + side of the first positive t-root is `_chamber_points`; the - side
+    is that half negated and reversed, which puts it in enumeration order.
+    """
+    half = [signs for signs, _ in _chamber_points(ts)]
     return tuple(
         [IACS(signs) for signs in half]
         + [IACS(tuple(-s for s in signs)) for signs in reversed(half)]
@@ -543,12 +554,43 @@ def _nijenhuis_mask(f: FlagSpec, sc: StructureConstants) -> int:
     return _full(s) ^ failing
 
 
+def _index(signs: tuple[int, ...]) -> int:
+    """The n with _structure(n, len(signs)).signs == signs."""
+    return int("".join("1" if x < 0 else "0" for x in signs), 2)
+
+
+def _mask_and_negations(half: list[int], s: int) -> int:
+    """The mask of the given structures and their negations: -(structure n) is (2^s - 1) ^ n."""
+    top = (1 << s) - 1
+    return _mask(half + [top ^ n for n in half], s)
+
+
 def _chamber_mask(ts: TRootSystem) -> int:
     """The structures realized by a regular point, one bit per chamber of t_chambers."""
-    s = len(ts.positive)
-    return _mask(
-        (int("".join("1" if x < 0 else "0" for x in c.signs), 2) for c in t_chambers(ts)), s
-    )
+    return _mask((_index(c.signs) for c in t_chambers(ts)), len(ts.positive))
+
+
+def _closed_witness_mask(ts: TRootSystem) -> int:
+    """The structures given a closed metric by their chamber point, each one checked.
+
+    For the chamber of j with point H, lambda_k = j_k (pos_k . H) is
+    positive, and the row of j on a triple is zero at lambda because the
+    members sum to zero: the Borel-Hirzebruch metric, built in ints.  A bit
+    is set only once lambda is checked strictly positive and every closed
+    row of j zero at it.  The same lambda serves -j, whose rows are those of
+    j negated.
+    """
+    pos = [t.coords for t in ts.positive]
+    triples = _signed_triples(ts)
+    witnessed = []
+    for signs, point in _chamber_points(ts):
+        lam = [j * sum(map(mul, p, point)) for j, p in zip(signs, pos)]
+        if min(lam) > 0 and not any(
+            a * signs[i] * lam[i] + b * signs[k] * lam[k] + c * signs[m] * lam[m]
+            for (i, a), (k, b), (m, c) in triples
+        ):
+            witnessed.append(_index(signs))
+    return _mask_and_negations(witnessed, len(pos))
 
 
 def _closed_candidates_mask(ts: TRootSystem) -> int:

@@ -1,4 +1,6 @@
-"""Per-structure oracles for routes that the library decides only as masks."""
+"""Test-side oracles: per-structure routes the library decides only as masks, and exact linear algebra."""
+from fractions import Fraction
+
 from flagclass.structures import _signed_pairs
 
 
@@ -15,3 +17,19 @@ def pairs_integrable(j, ts) -> bool:
             for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
         )
     )
+
+
+def fraction_rank(rows, n: int) -> int:
+    """The rank of a list of length-n rows, by Gaussian elimination over Fraction."""
+    pending = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in pending if r[col] != 0), None)
+        if pivot is None:
+            continue
+        pending.remove(pivot)
+        pending = [
+            [x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in pending
+        ]
+        rank += 1
+    return rank

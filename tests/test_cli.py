@@ -508,9 +508,62 @@ def test_verify_prints_a_uniqueness_disagreement_as_a_fail_line(capsys, monkeypa
     assert len(lines) == 7
 
 
+def negate_a2_full_plus_point(monkeypatch):
+    """Move the chamber point of A2 full all-plus to -H, so its witness metric turns negative.
+
+    The signs stay, so the chamber route of the four-way check is untouched.
+    """
+    real = structures._chamber_points
+
+    def faulted(ts):
+        points = real(ts)
+        if str(ts.flag.rs.lie_type) == "A2" and not ts.flag.theta:
+            (signs, point), *rest = points
+            assert signs == (1, 1, 1)
+            return ((signs, tuple(-x for x in point)), *rest)
+        return points
+
+    # the witness looks the points up in structures on each call
+    monkeypatch.setattr(structures, "_chamber_points", faulted)
+
+
+def count_closed_metric_solves(monkeypatch):
+    asked = []
+    real = cli.closed_metric_feasibility
+
+    def counted(j, ts):
+        asked.append((ts.flag.label(), j.signs))
+        return real(j, ts)
+
+    monkeypatch.setattr(cli, "closed_metric_feasibility", counted)
+    return asked
+
+
+def test_verify_falls_back_to_a_solve_where_a_chamber_point_is_wrong(capsys, monkeypatch):
+    code, clean, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    assert code == 0
+    negate_a2_full_plus_point(monkeypatch)
+    asked = count_closed_metric_solves(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    assert (code, out) == (0, clean)
+    # one solve decides the structure and its negation
+    assert asked == [("A2 theta=", (1, 1, 1))]
+
+
+def test_verify_fourway_workload_makes_no_closed_metric_solve(capsys, monkeypatch):
+    # every integrable structure up to rank 3 is witnessed by its chamber point
+    asked = count_closed_metric_solves(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "3", "--iacs-cap", "6")
+    assert code == 0
+    assert "PASS ak-equals-k (" in out
+    assert asked == []
+
+
 def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_metric(
     capsys, monkeypatch
 ):
+    # no chamber witness either, so verify asks the solve about that structure
+    negate_a2_full_plus_point(monkeypatch)
     real = cli.closed_metric_feasibility
 
     def faulted(j, ts):

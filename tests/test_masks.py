@@ -15,6 +15,7 @@ from flagclass.flag import build_t_roots, make_flag
 from flagclass.rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from flagclass.structures import (
     IACS,
+    closed_metric_feasibility,
     enumerate_iacs,
     is_integrable,
     nijenhuis_oracle,
@@ -66,6 +67,7 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
                     not any(single_signed(triple_sum_row(j, tr, ts)) for tr in triples)
                     for j in iacs
                 ],
+                "witness": [closed_metric_feasibility(j, ts).feasible for j in iacs],
             }
             masks = {
                 "triples": structures._integrable_mask(ts),
@@ -73,6 +75,7 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
                 "nijenhuis": structures._nijenhuis_mask(f, sc),
                 "chambers": structures._chamber_mask(ts),
                 "closed": structures._closed_candidates_mask(ts),
+                "witness": structures._closed_witness_mask(ts),
             }
             for route, mask in masks.items():
                 assert mask >> (1 << s) == 0, (where, route)
@@ -105,6 +108,7 @@ def test_routes_agree_on_f4_full_with_one_bit_per_weyl_element():
     assert structures._nijenhuis_mask(f, sc) == integrable
     assert structures._chamber_mask(ts) == integrable
     assert structures._closed_candidates_mask(ts) == integrable
+    assert structures._closed_witness_mask(ts) == integrable
 
 
 def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):

@@ -41,6 +41,7 @@ from flagclass.structures import (
     triple_sum_row,
 )
 from flagclass.tzs import ZeroSumTriple
+from oracles import fraction_rank
 
 DESK_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
 _SYSTEMS = {}
@@ -258,6 +259,8 @@ def test_chambers_reuse_parent_samples(monkeypatch):
         return solve(rows, n)
 
     monkeypatch.setattr(structures, "solve_strict_rows", counted)
+    # count a cold search, not the points an earlier test left in the cache
+    structures._chamber_points.cache_clear()
     searched = 0
     for t in types_up_to(3):
         for theta in proper_subsets(t.rank):
@@ -268,6 +271,42 @@ def test_chambers_reuse_parent_samples(monkeypatch):
     assert searched == 29
     assert len(calls) == 72  # 362 with both half-spaces and no split, 519 with neither reuse
     assert min(calls) == 2  # the search starts from the row of the first t-root
+
+
+def test_chamber_points_are_the_plus_half_with_points_inside():
+    # the signs, in order, are the first half of t_chambers; each point is
+    # strictly positive on its chamber's signed rows
+    for t in types_up_to(3):
+        for theta in proper_subsets(t.rank):
+            ts = build_t_roots(make_flag(rs_for(str(t)), theta))
+            points = structures._chamber_points(ts)
+            chambers = t_chambers(ts)
+            assert [signs for signs, _ in points] == [c.signs for c in chambers[: len(points)]]
+            assert 2 * len(points) == len(chambers)
+            for signs, point in points:
+                assert len(point) == len(ts.flag.sigma_m)
+                assert all(type(x) is int for x in point)
+                for sign, p in zip(signs, ts.positive):
+                    assert sign * sum(a * b for a, b in zip(p.coords, point)) > 0
+
+
+def test_closed_rows_of_an_integrable_structure_keep_one_dimension_per_painted_root():
+    # the converse of the chamber witness: the closed metrics of an integrable
+    # j fill a kernel of dimension len(sigma_m), the dimension of its chamber,
+    # so every Kahler metric of j is lambda_k = j_k (pos_k . H) for an H there
+    checked = 0
+    for t in types_up_to(3):
+        for theta in proper_subsets(t.rank):
+            f = make_flag(rs_for(str(t)), theta)
+            ts = build_t_roots(f)
+            s = len(ts.positive)
+            for j in enumerate_iacs(ts):
+                if not is_integrable(j, ts):
+                    continue
+                rows = [triple_sum_row(j, tr, ts) for tr in t_zero_sum_triples(ts)]
+                assert s - fraction_rank(rows, s) == len(f.sigma_m), (f.label(), j.signs)
+                checked += 1
+    assert checked == 244  # one per chamber over the 31 flags
 
 
 def test_chambers_follow_enumeration_order():
