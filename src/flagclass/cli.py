@@ -33,19 +33,14 @@ from .structures import (
     IACS_CAP,
     TripleClass,
     _chamber_mask,
-    _closed_candidates_mask,
-    _closed_witness_mask,
+    _closed_metric_mask,
     _integrable_mask,
     _lowest_bit,
-    _mask,
-    _mask_and_negations,
     _nijenhuis_mask,
     _one_sign,
     _pairs_mask,
-    _set_bits,
     _structure,
     c_of_j,
-    closed_metric_feasibility,
     enumerate_iacs,
     is_integrable,
     normal_metric_unique,
@@ -192,13 +187,9 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     classes = {True: TripleClass.ZERO_THREE.value, False: TripleClass.ONE_TWO.value}
     structures = enumerate_iacs(ts, cap=iacs_cap)
     entries = []
-    ak_holds = True
     for j in structures:
         qk = qk_feasibility(j, ts)
         integrable = is_integrable(j, ts)
-        # Borel-Hirzebruch, as in verify: feasible == integrable.  For an
-        # integrable j the closed-metric rows are the QK rows, a cache hit.
-        ak_holds &= closed_metric_feasibility(j, ts).feasible == integrable
         entries.append(
             {
                 "signs": list(j.signs),
@@ -214,6 +205,8 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
                 ],
             }
         )
+    # Borel-Hirzebruch, as in verify: feasible == integrable
+    m = _integrable_mask(ts)
     return {
         "schema": SCHEMA,
         "flag": flag_key(f.rs.lie_type, tuple(sorted(f.theta))),
@@ -221,7 +214,7 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
         "iacs": entries,
         "theorems": {
             "normal_metric_unique": normal_metric_unique(f, cap=iacs_cap).holds,
-            "ak_equals_k": ak_holds,
+            "ak_equals_k": _closed_metric_mask(ts, m) == m,
             "tzs_connected": connectivity(make_functional_set(ts.t_roots)).connected,
         },
     }
@@ -452,20 +445,8 @@ def run_verify(
                 failure = f"{where}: integrability routes disagree at signs={signs}"
             fourway.cases(1 << s, failure)
             # Borel-Hirzebruch: every invariant complex structure carries an
-            # invariant Kahler metric, so feasible == integrable.  Each answer
-            # has a checked certificate: the metric a chamber point builds
-            # (_closed_witness_mask), a closed row of one sign, which rules a
-            # closed metric out, or a solve of the closed rows.  Only the
-            # candidates with no witness are solved, one of each pair +-j: the
-            # rows of -j are those of j negated, with the same kernel.
-            witnessed = _closed_witness_mask(ts)
-            plus = (1 << (1 << (s - 1))) - 1  # the structures giving class 0 the sign +1
-            unsolved = _closed_candidates_mask(ts) & ~witnessed & plus
-            solved = [
-                n for n in _set_bits(unsolved)
-                if closed_metric_feasibility(_structure(n, s), ts).feasible
-            ]
-            feasible = witnessed | _mask_and_negations(solved, s)
+            # invariant Kahler metric, so feasible == integrable
+            feasible = _closed_metric_mask(ts, integrable)
             wrong = feasible ^ integrable
             failure = None
             if wrong:

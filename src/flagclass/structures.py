@@ -593,26 +593,25 @@ def _closed_witness_mask(ts: TRootSystem) -> int:
     return _mask_and_negations(witnessed, len(pos))
 
 
-def _closed_candidates_mask(ts: TRootSystem) -> int:
-    """The structures whose closed-metric rows include no single-signed row.
+def _closed_metric_mask(ts: TRootSystem, integrable: int) -> int:
+    """The structures with a closed metric; integrable is _integrable_mask(ts).
 
-    Only these can have a closed metric: a row whose nonzero coefficients
-    share one sign has no positive zero.  The coefficient of class i in a
-    triple's row is w_i j_i, where w_i sums the signs of the members in
-    class i, so the row is single-signed where its terms (i, sign w_i) agree.
+    Each bit has a checked certificate: the metric a chamber point builds
+    (_closed_witness_mask) or a solve of the closed rows.  A structure
+    outside integrable has a one-signed triple, whose closed row has nonzero
+    coefficients of that one sign (no two members are v and -v, or the third
+    would be 0), so no positive metric zeroes it.  Only the integrable
+    structures with no witness are solved, one of each pair +-j: the rows of
+    -j are those of j negated, with the same kernel.
     """
     s = len(ts.positive)
-    single = 0
-    for signed in _signed_triples(ts):
-        weights = {}
-        for idx, sgn in signed:
-            weights[idx] = weights.get(idx, 0) + sgn
-        first, *rest = [(idx, 1 if w > 0 else -1) for idx, w in weights.items() if w]
-        row = _full(s)
-        for term in rest:
-            row &= _agree(s, first, term)
-        single |= row
-    return _full(s) ^ single
+    witnessed = _closed_witness_mask(ts)
+    plus = (1 << (1 << (s - 1))) - 1  # the structures giving class 0 the sign +1
+    solved = [
+        n for n in _set_bits(integrable & ~witnessed & plus)
+        if closed_metric_feasibility(_structure(n, s), ts).feasible
+    ]
+    return witnessed | _mask_and_negations(solved, s)
 
 
 class PairWitness(_Frozen):

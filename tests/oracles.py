@@ -1,7 +1,7 @@
-"""Test-side oracles: per-structure routes the library decides only as masks, and exact linear algebra."""
+"""Test-side oracles: routes the library no longer takes, and exact linear algebra."""
 from fractions import Fraction
 
-from flagclass.structures import _signed_pairs
+from flagclass.structures import _agree, _full, _signed_pairs, _signed_triples
 
 
 def pairs_integrable(j, ts) -> bool:
@@ -17,6 +17,28 @@ def pairs_integrable(j, ts) -> bool:
             for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
         )
     )
+
+
+def closed_candidates_mask(ts) -> int:
+    """The structures whose closed-metric rows include no single-signed row, as a mask.
+
+    Only these can have a closed metric: a row whose nonzero coefficients
+    share one sign has no positive zero.  The coefficient of class i in a
+    triple's row is w_i j_i, where w_i sums the signs of the members in
+    class i, so the row is single-signed where its terms (i, sign w_i) agree.
+    """
+    s = len(ts.positive)
+    single = 0
+    for signed in _signed_triples(ts):
+        weights = {}
+        for idx, sgn in signed:
+            weights[idx] = weights.get(idx, 0) + sgn
+        first, *rest = [(idx, 1 if w > 0 else -1) for idx, w in weights.items() if w]
+        row = _full(s)
+        for term in rest:
+            row &= _agree(s, first, term)
+        single |= row
+    return _full(s) ^ single
 
 
 def fraction_rank(rows, n: int) -> int:

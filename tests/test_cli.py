@@ -529,13 +529,14 @@ def negate_a2_full_plus_point(monkeypatch):
 
 def count_closed_metric_solves(monkeypatch):
     asked = []
-    real = cli.closed_metric_feasibility
+    real = structures.closed_metric_feasibility
 
     def counted(j, ts):
         asked.append((ts.flag.label(), j.signs))
         return real(j, ts)
 
-    monkeypatch.setattr(cli, "closed_metric_feasibility", counted)
+    # _closed_metric_mask looks the name up in structures on each call
+    monkeypatch.setattr(structures, "closed_metric_feasibility", counted)
     return asked
 
 
@@ -564,7 +565,7 @@ def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_me
 ):
     # no chamber witness either, so verify asks the solve about that structure
     negate_a2_full_plus_point(monkeypatch)
-    real = cli.closed_metric_feasibility
+    real = structures.closed_metric_feasibility
 
     def faulted(j, ts):
         # the all-plus structure is integrable on every flag; call it infeasible on A2 full
@@ -573,8 +574,8 @@ def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_me
             return QKFeasibility(False, None, answer.equations, None)
         return answer
 
-    # run_verify looks the name up in cli on each call
-    monkeypatch.setattr(cli, "closed_metric_feasibility", faulted)
+    # _closed_metric_mask looks the name up in structures on each call
+    monkeypatch.setattr(structures, "closed_metric_feasibility", faulted)
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
     assert code == 3
     failed = [line for line in out.splitlines() if not line.startswith("PASS")]
@@ -587,18 +588,61 @@ def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_me
 def test_classify_ak_equals_k_reads_false_when_no_structure_has_a_closed_metric(
     capsys, monkeypatch
 ):
+    real = structures._chamber_points
+
+    def negated(ts):
+        # every witness metric of A3 full turns negative
+        points = real(ts)
+        if str(ts.flag.rs.lie_type) == "A3" and not ts.flag.theta:
+            return tuple((signs, tuple(-x for x in point)) for signs, point in points)
+        return points
+
     asked = []
 
     def infeasible(j, ts):
         asked.append(j.signs)
         return QKFeasibility(False, None, (), None)
 
-    monkeypatch.setattr(cli, "closed_metric_feasibility", infeasible)
+    monkeypatch.setattr(structures, "_chamber_points", negated)
+    monkeypatch.setattr(structures, "closed_metric_feasibility", infeasible)
     payload = run_json(capsys, "classify", "--type", "A3", "--theta")
-    # every structure is asked, the 24 integrable ones of the 64 among them
-    assert len(asked) == len(payload["iacs"]) == 64
-    assert sum(e["integrable"] for e in payload["iacs"]) == 24
+    integrable = {tuple(e["signs"]) for e in payload["iacs"] if e["integrable"]}
+    assert len(integrable) == 24
+    # one solve per pair +-j of the integrable structures, the one with class 0 at +1
+    assert len(asked) == 12
+    assert all(signs[0] == 1 for signs in asked)
+    assert set(asked) | {tuple(-x for x in signs) for signs in asked} == integrable
     assert payload["theorems"]["ak_equals_k"] is False
+
+
+def test_classify_falls_back_to_a_solve_where_a_chamber_point_is_wrong(capsys, monkeypatch):
+    argv = ("classify", "--type", "A2", "--theta=", "--format", "json")
+    code, clean, _ = run_cli(capsys, *argv)
+    assert code == 0
+    negate_a2_full_plus_point(monkeypatch)
+    asked = count_closed_metric_solves(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, clean)
+    assert asked == [("A2 theta=", (1, 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--type", "A3", "--theta=", "--format", "json"),
+        ("classify", "--type", "G2", "--theta=", "--format", "json"),
+        ("classify", "--type", "D4", "--theta=1", "--format", "json"),
+        ("sweep", "--max-rank", "2"),
+    ],
+)
+def test_classify_and_sweep_make_no_closed_metric_solve(capsys, monkeypatch, tmp_path, argv):
+    # every integrable structure is witnessed by its chamber point
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "sweep"))
+    asked = count_closed_metric_solves(monkeypatch)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert asked == []
 
 
 def test_verify_weyl_cap_skips_groups_over_it(capsys):

@@ -119,3 +119,28 @@ def test_structures_imports_nothing_from_chevalley():
             names += [alias.name for alias in node.names]
     assert "feasibility" in names
     assert [n for n in names if "chevalley" in n.split(".")] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads, not counting `__future__` or `__all__` entries."""
+    tree = ast.parse(path.read_text(), filename=path.name)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [name for name in bound if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(flagclass.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 9
+    assert {p.name: unused_imports(p) for p in modules} == {p.name: [] for p in modules}

@@ -23,7 +23,7 @@ from flagclass.structures import (
     t_zero_sum_triples,
     triple_sum_row,
 )
-from oracles import pairs_integrable
+from oracles import closed_candidates_mask, pairs_integrable
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flagclass"
 
@@ -58,24 +58,32 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
 
             chambers = {c.signs for c in t_chambers(ts)}
             triples = t_zero_sum_triples(ts)
+            no_single_signed_row = [
+                not any(single_signed(triple_sum_row(j, tr, ts)) for tr in triples)
+                for j in iacs
+            ]
+            closed_metric = [closed_metric_feasibility(j, ts).feasible for j in iacs]
             expected = {
                 "triples": [is_integrable(j, ts) for j in iacs],
                 "pairs": [pairs_integrable(j, ts) for j in iacs],
                 "nijenhuis": [nijenhuis_oracle(f, sc, j) for j in iacs],
                 "chambers": [j.signs in chambers for j in iacs],
-                "closed": [
-                    not any(single_signed(triple_sum_row(j, tr, ts)) for tr in triples)
-                    for j in iacs
-                ],
-                "witness": [closed_metric_feasibility(j, ts).feasible for j in iacs],
+                # only an integrable structure's closed rows have no single-signed row
+                "closed": no_single_signed_row,
+                "candidates": no_single_signed_row,
+                "witness": closed_metric,
+                "metric": closed_metric,
             }
+            integrable = structures._integrable_mask(ts)
             masks = {
-                "triples": structures._integrable_mask(ts),
+                "triples": integrable,
                 "pairs": structures._pairs_mask(ts),
                 "nijenhuis": structures._nijenhuis_mask(f, sc),
                 "chambers": structures._chamber_mask(ts),
-                "closed": structures._closed_candidates_mask(ts),
+                "closed": integrable,
+                "candidates": closed_candidates_mask(ts),
                 "witness": structures._closed_witness_mask(ts),
+                "metric": structures._closed_metric_mask(ts, integrable),
             }
             for route, mask in masks.items():
                 assert mask >> (1 << s) == 0, (where, route)
@@ -107,8 +115,9 @@ def test_routes_agree_on_f4_full_with_one_bit_per_weyl_element():
     assert structures._pairs_mask(ts) == integrable
     assert structures._nijenhuis_mask(f, sc) == integrable
     assert structures._chamber_mask(ts) == integrable
-    assert structures._closed_candidates_mask(ts) == integrable
+    assert closed_candidates_mask(ts) == integrable
     assert structures._closed_witness_mask(ts) == integrable
+    assert structures._closed_metric_mask(ts, integrable) == integrable
 
 
 def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
@@ -147,15 +156,22 @@ def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
 
 def test_run_verify_builds_no_structure_list():
     # verify decides every structure through the masks; a per-structure loop
-    # over these would put the 2^s-entry list back on its path
-    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
-    (run_verify,) = [
-        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "run_verify"
-    ]
-    called = {
-        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-        for node in ast.walk(run_verify)
-        if isinstance(node, ast.Call)
-    }
-    assert "_integrable_mask" in called
-    assert called & {"enumerate_iacs", "is_integrable", "nijenhuis_oracle"} == set()
+    # over these would put the 2^s-entry list back on its path.  classify and
+    # verify read one ak-equals-k decision, and cli leaves its solves to it.
+    source = (SRC / "cli.py").read_text()
+    tree = ast.parse(source, filename="cli.py")
+    calls = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("classify_payload", "run_verify"):
+            calls[fn.name] = {
+                node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+            }
+    assert "_integrable_mask" in calls["run_verify"]
+    assert calls["run_verify"] & {"enumerate_iacs", "is_integrable", "nijenhuis_oracle"} == set()
+    assert all("_closed_metric_mask" in called for called in calls.values())
+    assert "closed_metric_feasibility" not in source
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert named & {"_closed_witness_mask", "_mask_and_negations", "_set_bits", "_mask"} == set()
