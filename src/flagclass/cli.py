@@ -186,19 +186,25 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     members = [[list(m) for m in tr.members] for tr in t_zero_sum_triples(ts)]
     classes = {True: TripleClass.ZERO_THREE.value, False: TripleClass.ONE_TWO.value}
     structures = enumerate_iacs(ts, cap=iacs_cap)
-    entries = []
-    for j in structures:
+    # the list reversed is the list negated, and the QK rows of -j are those
+    # of j negated, with the same answer and sample: solve each pair once
+    half = []
+    for j in structures[: len(structures) // 2]:
         qk = qk_feasibility(j, ts)
-        integrable = is_integrable(j, ts)
+        half.append(
+            {
+                "feasible": qk.feasible,
+                "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
+            }
+        )
+    entries = []
+    for j, qk in zip(structures, half + half[::-1]):
         entries.append(
             {
                 "signs": list(j.signs),
-                "integrable": integrable,
+                "integrable": is_integrable(j, ts),
                 "c_of_j": sorted(list(t.coords) for t in c_of_j(j, ts)),
-                "qk": {
-                    "feasible": qk.feasible,
-                    "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
-                },
+                "qk": qk,
                 "triples": [
                     {"members": m, "class": classes[one]}
                     for m, one in zip(members, _one_sign(j.signs, ts))

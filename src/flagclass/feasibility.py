@@ -10,16 +10,11 @@ the samples and certificates callers receive are Fractions.  The run that
 derives 0 > 0 returns checked Farkas weights on its input rows; for a
 positive kernel, minus the weights on the equality rows is the dual
 certificate, a combination of them that is nonnegative and nonzero.
-
-Negating an equality row negates its certificate entry and changes nothing
-else, so the positive-kernel run is cached on the rows with each one's sign
-normalised; every answer, cached or not, is checked against the rows as given.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .errors import (
@@ -226,51 +221,34 @@ def scale_to_integers(vec) -> tuple[int, ...]:
 def solve_positive_kernel(eq_rows, n: int) -> QKFeasibility:
     """Decide E x = 0 with x strictly positive, exactly.
 
-    One pass over the rows takes the fast path, rejecting an equality whose
-    nonzero coefficients share a sign, or negates the row if its first nonzero
-    entry is negative.  `_kernel_elimination` answers the normalised system;
-    its certificate is negated back on the flipped rows.  The sample or the
-    certificate is then checked as ints against the rows as given.
+    The fast path rejects an equality whose nonzero coefficients share a
+    sign.  Otherwise one elimination of x_k > 0 for every k, subject to
+    E x = 0, gives a sample, rescaled to small integers, or weights u on the
+    equality rows with -u^T E its nonnegative, nonzero weights on x > 0.
+    Either is checked as ints against the rows as given.  Negating a row
+    changes neither its pivot nor the substitution, so it keeps the sample
+    and flips only that row's certificate entry.
     """
     rows = _check_rows(eq_rows, n)
-    key, flipped = [], []
     for i, r in enumerate(rows):
         lo, hi = min(r, default=0), max(r, default=0)
         if (lo < 0) != (hi > 0):
             cert = [Fraction(0)] * len(rows)
             cert[i] = Fraction(1 if hi > 0 else -1)
             return QKFeasibility(False, None, rows, tuple(cert))
-        flipped.append(next((c < 0 for c in r if c), False))
-        key.append(tuple(-c for c in r) if flipped[-1] else tuple(r))
 
-    x, cert = _kernel_elimination(tuple(key), n)
+    positivity = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    x, _, weights = _eliminate(positivity, n, rows)
     if x is None:
-        y, c = cert
-        y = [-u if f else u for u, f in zip(y, flipped)]
+        w, c = weights
+        y = [-u for u in w[n:]]
         combo = [sum(yr * row[j] for yr, row in zip(y, rows) if yr) for j in range(n)]
         if any(v < 0 for v in combo) or not any(combo):
             raise InvariantViolationError("dual certificate fails verification")
         return QKFeasibility(False, None, rows, tuple(Fraction(u, c) for u in y))
+    x = scale_to_integers(x)
     if any(sum(map(mul, r, x)) for r in rows):
         raise InvariantViolationError("kernel sample violates an equality row")
     if any(v <= 0 for v in x):
         raise InvariantViolationError("kernel sample is not strictly positive")
     return QKFeasibility(True, tuple(map(Fraction, x)), rows, None)
-
-
-# one entry per conjugate pair (j, -j) of the 2^12 structures at the default --iacs-cap
-@lru_cache(maxsize=2**11)
-def _kernel_elimination(rows: tuple[Row, ...], n: int):
-    """One elimination of x_k > 0 for every k, subject to E x = 0.
-
-    Its sample rescaled to small integers, or (y, c) with y / c the
-    certificate: the elimination's weights u on the equality rows have
-    -u^T E equal to its weights on x > 0, which are nonnegative and nonzero.
-    The caller checks either answer against the rows it was given.
-    """
-    positivity = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    x, _, weights = _eliminate(positivity, n, rows)
-    if x is None:
-        w, c = weights
-        return None, (tuple(-u for u in w[n:]), c)
-    return scale_to_integers(x), None

@@ -117,7 +117,11 @@ class StructureLabel(Enum):
 
 
 def enumerate_iacs(ts: TRootSystem, cap: int = IACS_CAP) -> tuple[IACS, ...]:
-    """All 2^s sign vectors in binary counting order, all-plus first."""
+    """All 2^s sign vectors in binary counting order, all-plus first.
+
+    The list reversed is the list negated: entry 2^s - 1 - n is -j for
+    entry n, so the first half gives class 0 the sign +1.
+    """
     s = len(ts.positive)
     if s > cap:
         raise CapExceededError(f"enumerating 2^{s} structures exceeds the cap 2^{cap}")

@@ -81,7 +81,7 @@ class ZeroSumTriple(_Frozen):
     members: tuple[Vec, Vec, Vec]
 
     def __init__(self, members: tuple[Vec, Vec, Vec]):
-        members = tuple(sorted(_int_vec(v) for v in members))
+        members = tuple(sorted(_coerce(v) for v in members))
         if len(members) != 3:
             raise InvalidInputError("a triple needs exactly three members")
         object.__setattr__(self, "members", members)

@@ -1,7 +1,7 @@
 """Test-side oracles: routes the library no longer takes, and exact linear algebra."""
 from fractions import Fraction
 
-from flagclass.structures import _agree, _full, _signed_pairs, _signed_triples
+from flagclass.structures import _signed_pairs, _signed_triples
 
 
 def pairs_integrable(j, ts) -> bool:
@@ -19,26 +19,50 @@ def pairs_integrable(j, ts) -> bool:
     )
 
 
+def _sign_columns(s: int) -> list[tuple[int, int]]:
+    """Per class i, the masks of the structures giving it the sign -1 and +1.
+
+    Structure n gives class i the sign -1 where bit s - 1 - i of n is set,
+    so the -1 mask is r clear bits then r set ones, r = 2^(s-1-i), and that
+    2r-bit block is doubled until it covers all 2^s structures.
+    """
+    full = (1 << (1 << s)) - 1
+    columns = []
+    for i in range(s):
+        run = 1 << (s - 1 - i)
+        block, width = ((1 << run) - 1) << run, 2 * run
+        while width < 1 << s:
+            block |= block << width
+            width *= 2
+        columns.append((block, full ^ block))
+    return columns
+
+
 def closed_candidates_mask(ts) -> int:
     """The structures whose closed-metric rows include no single-signed row, as a mask.
 
     Only these can have a closed metric: a row whose nonzero coefficients
     share one sign has no positive zero.  The coefficient of class i in a
     triple's row is w_i j_i, where w_i sums the signs of the members in
-    class i, so the row is single-signed where its terms (i, sign w_i) agree.
+    class i, so the row is single-signed where every term w_i j_i is
+    negative or every one is positive.
     """
     s = len(ts.positive)
+    columns = _sign_columns(s)
+    full = (1 << (1 << s)) - 1
     single = 0
     for signed in _signed_triples(ts):
         weights = {}
         for idx, sgn in signed:
             weights[idx] = weights.get(idx, 0) + sgn
-        first, *rest = [(idx, 1 if w > 0 else -1) for idx, w in weights.items() if w]
-        row = _full(s)
-        for term in rest:
-            row &= _agree(s, first, term)
-        single |= row
-    return _full(s) ^ single
+        negative = positive = full
+        for idx, w in weights.items():
+            if w:
+                minus, plus = columns[idx]
+                negative &= minus if w > 0 else plus
+                positive &= plus if w > 0 else minus
+        single |= negative | positive
+    return full ^ single
 
 
 def fraction_rank(rows, n: int) -> int:

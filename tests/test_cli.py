@@ -645,6 +645,41 @@ def test_classify_and_sweep_make_no_closed_metric_solve(capsys, monkeypatch, tmp
     assert asked == []
 
 
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (("classify", "--type", "A3", "--theta=", "--format", "json"), 32),
+        (("classify", "--type", "D4", "--theta=1", "--format", "json"), 64),
+        (("sweep", "--max-rank", "2"), 56),
+    ],
+)
+def test_classify_solves_one_qk_system_per_conjugate_pair(
+    capsys, monkeypatch, tmp_path, argv, solves
+):
+    # -j has the rows of j negated and so the same answer and sample: each
+    # flag's 2^s structures take 2^(s-1) solves, all giving class 0 the sign +1
+    if argv[0] == "sweep":
+        argv += ("--out", str(tmp_path / "sweep"))
+    asked = []
+    real = cli.qk_feasibility
+
+    def counted(j, ts):
+        asked.append((ts.flag.label(), len(ts.positive), j.signs))
+        return real(j, ts)
+
+    monkeypatch.setattr(cli, "qk_feasibility", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(asked) == solves
+    assert all(signs[0] == 1 for _, _, signs in asked)
+    per_flag = {}
+    for label, s, signs in asked:
+        per_flag.setdefault((label, s), set()).add(signs)
+    assert {key: len(v) for key, v in per_flag.items()} == {
+        (label, s): 1 << (s - 1) for label, s in per_flag
+    }
+
+
 def test_verify_weyl_cap_skips_groups_over_it(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2", "--weyl-cap", "6")
     assert code == 0

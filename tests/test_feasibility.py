@@ -13,7 +13,6 @@ from flagclass.errors import (
     InvariantViolationError,
 )
 from flagclass.feasibility import (
-    _kernel_elimination,
     scale_to_integers,
     solve_positive_kernel,
     solve_strict_rows,
@@ -336,28 +335,21 @@ def test_kernel_never_misses_positive_solutions(case):
 
 @settings(max_examples=150, deadline=None)
 @given(random_kernel_instances(), st.data())
-def test_kernel_cache_hit_equals_fresh_solve(case, data):
-    # negating rows changes only the signs of their certificate entries, so a
-    # warm call on the flipped system must return what a cold one does
+def test_kernel_flipped_rows_keep_sample_and_flip_certificate(case, data):
+    # negating rows changes neither pivot nor substitution: the sample stays
+    # and only the flipped rows' certificate entries change sign
     rows, n = case
     flips = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     flipped = [tuple(-c for c in r) if f else r for r, f in zip(rows, flips)]
-    _kernel_elimination.cache_clear()
     base = solve_positive_kernel(rows, n)
-    hits = _kernel_elimination.cache_info().hits
-    warm = solve_positive_kernel(flipped, n)
-    if _kernel_elimination.cache_info().misses:  # past the fast path
-        assert _kernel_elimination.cache_info().hits == hits + 1
-    _kernel_elimination.cache_clear()
-    cold = solve_positive_kernel(flipped, n)
-    assert warm == cold
-    assert warm.feasible == base.feasible
-    assert warm.sample == base.sample
+    other = solve_positive_kernel(flipped, n)
+    assert other.feasible == base.feasible
+    assert other.sample == base.sample
     if not base.feasible:
-        assert warm.certificate == tuple(
+        assert other.certificate == tuple(
             -y if f else y for y, f in zip(base.certificate, flips)
         )
-        check_certificate(flipped, warm.certificate)
+        check_certificate(flipped, other.certificate)
 
 
 def test_conjugate_structures_share_one_answer():
@@ -373,7 +365,6 @@ def test_conjugate_structures_share_one_answer():
                     continue
                 conj = IACS(tuple(-v for v in j.signs))
                 for system in (qk_feasibility, closed_metric_feasibility):
-                    _kernel_elimination.cache_clear()
                     a, b = system(j, ts), system(conj, ts)
                     assert b.equations == tuple(tuple(-c for c in r) for r in a.equations)
                     assert b.feasible == a.feasible and b.sample == a.sample
@@ -390,8 +381,7 @@ def test_elimination_row_cap(monkeypatch):
     monkeypatch.setattr(feasibility, "FM_ROW_CAP", 3)
     with pytest.raises(CapExceededError, match="would hold 4 rows, over the cap of 3"):
         solve_strict_rows(rows, 2)
-    # the kernel run goes through the same elimination, cached or not
+    # the kernel run goes through the same elimination
     monkeypatch.setattr(feasibility, "FM_ROW_CAP", 1)
-    _kernel_elimination.cache_clear()
     with pytest.raises(CapExceededError):
         solve_positive_kernel([(1, -1, 1, -1)], 4)

@@ -144,3 +144,21 @@ def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(package.glob("*.py"))
     assert len(modules) >= 9
     assert {p.name: unused_imports(p) for p in modules} == {p.name: [] for p in modules}
+
+
+def test_feasibility_caches_nothing():
+    # The solver is a pure function of its rows.  Its callers pair conjugate
+    # structures themselves (classify and _closed_metric_mask solve one of
+    # each +-j), so a cache would only hold answers that are never asked for
+    # again, sized for one structure count and thrashing above it.
+    tree = ast.parse(Path(flagclass.__file__).with_name("feasibility.py").read_text())
+    decorators = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for dec in node.decorator_list
+        for sub in ast.walk(dec)
+        for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
+        if name in {"lru_cache", "cache", "cached_property"}
+    ]
+    assert decorators == []

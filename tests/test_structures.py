@@ -100,6 +100,15 @@ def test_enumerate_counts_and_order():
     single = build_t_roots(make_flag(rs_for("A3"), frozenset({2, 3})))
     assert len(enumerate_iacs(single)) == 2
 
+    # the list reversed is the list negated: entry 2^s - 1 - n is -j for entry n
+    by_s = {}
+    for _, f in desk_flags(3):
+        by_s.setdefault(len(build_t_roots(f).positive), f)
+    assert set(range(1, 7)) <= set(by_s)
+    for s in range(1, 7):
+        iacs = enumerate_iacs(build_t_roots(by_s[s]))
+        assert [tuple(-v for v in j.signs) for j in iacs] == [j.signs for j in reversed(iacs)]
+
 
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):

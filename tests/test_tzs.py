@@ -11,7 +11,7 @@ from flagclass.errors import (
     InvariantViolationError,
     NotConnectedError,
 )
-from flagclass.flag import build_t_roots, make_flag
+from flagclass.flag import TRoot, build_t_roots, make_flag
 from flagclass.rootsys import LieType, Root, build_root_system
 from flagclass.tzs import (
     TzsChain,
@@ -100,6 +100,14 @@ def test_triple_validation():
     for members in (((0.5,), (0.5,), (-1,)), ((True,), (1,), (-2,))):
         with pytest.raises(InvalidInputError, match="not an int"):
             ZeroSumTriple(members)
+    # members are read like make_functional_set's items: a list is refused,
+    # anything carrying .coords is accepted
+    with pytest.raises(InvalidInputError, match="integer vector"):
+        ZeroSumTriple(([1, 0], [0, 1], [-1, -1]))
+    t = ZeroSumTriple((TRoot((1, 0)), TRoot((0, 1)), (-1, -1)))
+    assert t == ZeroSumTriple(((1, 0), (0, 1), (-1, -1)))
+    assert hash(t) == hash(ZeroSumTriple(((1, 0), (0, 1), (-1, -1))))
+    assert t.classes() == {(1, 1), (0, 1), (1, 0)}
 
 
 def test_triple_members_canonically_sorted():
