@@ -33,7 +33,7 @@ from .structures import (
     IACS_CAP,
     TripleClass,
     _chamber_mask,
-    _closed_metric_mask,
+    _closed_witness_mask,
     _integrable_mask,
     _lowest_bit,
     _nijenhuis_mask,
@@ -186,31 +186,27 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     members = [[list(m) for m in tr.members] for tr in t_zero_sum_triples(ts)]
     classes = {True: TripleClass.ZERO_THREE.value, False: TripleClass.ONE_TWO.value}
     structures = enumerate_iacs(ts, cap=iacs_cap)
-    # the list reversed is the list negated, and the QK rows of -j are those
-    # of j negated, with the same answer and sample: solve each pair once
+    # the list reversed is the list negated.  -j has the QK rows of j negated,
+    # with the same answer and sample, and the one-signed triples of j: build
+    # each pair's entry once
     half = []
     for j in structures[: len(structures) // 2]:
         qk = qk_feasibility(j, ts)
         half.append(
             {
-                "feasible": qk.feasible,
-                "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
-            }
-        )
-    entries = []
-    for j, qk in zip(structures, half + half[::-1]):
-        entries.append(
-            {
-                "signs": list(j.signs),
                 "integrable": is_integrable(j, ts),
                 "c_of_j": sorted(list(t.coords) for t in c_of_j(j, ts)),
-                "qk": qk,
+                "qk": {
+                    "feasible": qk.feasible,
+                    "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
+                },
                 "triples": [
                     {"members": m, "class": classes[one]}
                     for m, one in zip(members, _one_sign(j.signs, ts))
                 ],
             }
         )
+    entries = [{"signs": list(j.signs), **v} for j, v in zip(structures, half + half[::-1])]
     # Borel-Hirzebruch, as in verify: feasible == integrable
     m = _integrable_mask(ts)
     return {
@@ -220,7 +216,7 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
         "iacs": entries,
         "theorems": {
             "normal_metric_unique": normal_metric_unique(f, cap=iacs_cap).holds,
-            "ak_equals_k": _closed_metric_mask(ts, m) == m,
+            "ak_equals_k": _closed_witness_mask(ts) == m,
             "tzs_connected": connectivity(make_functional_set(ts.t_roots)).connected,
         },
     }
@@ -452,7 +448,7 @@ def run_verify(
             fourway.cases(1 << s, failure)
             # Borel-Hirzebruch: every invariant complex structure carries an
             # invariant Kahler metric, so feasible == integrable
-            feasible = _closed_metric_mask(ts, integrable)
+            feasible = _closed_witness_mask(ts)
             wrong = feasible ^ integrable
             failure = None
             if wrong:

@@ -13,7 +13,6 @@ a guess.
 from __future__ import annotations
 
 import itertools
-import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -80,6 +79,7 @@ class InvariantMetric(_Frozen):
     lambdas: tuple[Fraction, ...]
 
     def __init__(self, lambdas: tuple[Fraction, ...]):
+        lambdas = tuple(lambdas)
         if any(type(x) is not int and not isinstance(x, Fraction) for x in lambdas):
             raise InvalidInputError("metric coefficients must be ints or Fractions")
         coerced = tuple(Fraction(x) for x in lambdas)
@@ -508,14 +508,6 @@ def _mask(bits, s: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _set_bits(mask: int):
-    """The indices of the set bits of mask, in ascending order."""
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for hit in re.finditer(rb"[^\x00]", data):
-        k = hit.start()
-        yield from (8 * k + b for b in range(8) if data[k] >> b & 1)
-
-
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -570,8 +562,13 @@ def _mask_and_negations(half: list[int], s: int) -> int:
 
 
 def _chamber_mask(ts: TRootSystem) -> int:
-    """The structures realized by a regular point, one bit per chamber of t_chambers."""
-    return _mask((_index(c.signs) for c in t_chambers(ts)), len(ts.positive))
+    """The structures realized by a regular point.
+
+    Each chamber of _chamber_points gives two bits: its signs and their negation.
+    """
+    return _mask_and_negations(
+        [_index(signs) for signs, _ in _chamber_points(ts)], len(ts.positive)
+    )
 
 
 def _closed_witness_mask(ts: TRootSystem) -> int:
@@ -583,6 +580,15 @@ def _closed_witness_mask(ts: TRootSystem) -> int:
     is set only once lambda is checked strictly positive and every closed
     row of j zero at it.  The same lambda serves -j, whose rows are those of
     j negated.
+
+    This is the closed-metric decision, with no solve beside it.  A
+    structure outside _integrable_mask has a one-signed triple, whose closed
+    row has nonzero coefficients of that one sign (no two members are v and
+    -v, or the third would be 0), so no positive metric zeroes it.  So the
+    witnessed structures lie in the feasible ones, which lie in the
+    integrable ones, and witnessed == integrable proves feasible ==
+    integrable.  An integrable structure left unwitnessed is reported, not
+    solved: a wrong chamber point fails the check.
     """
     pos = [t.coords for t in ts.positive]
     triples = _signed_triples(ts)
@@ -595,27 +601,6 @@ def _closed_witness_mask(ts: TRootSystem) -> int:
         ):
             witnessed.append(_index(signs))
     return _mask_and_negations(witnessed, len(pos))
-
-
-def _closed_metric_mask(ts: TRootSystem, integrable: int) -> int:
-    """The structures with a closed metric; integrable is _integrable_mask(ts).
-
-    Each bit has a checked certificate: the metric a chamber point builds
-    (_closed_witness_mask) or a solve of the closed rows.  A structure
-    outside integrable has a one-signed triple, whose closed row has nonzero
-    coefficients of that one sign (no two members are v and -v, or the third
-    would be 0), so no positive metric zeroes it.  Only the integrable
-    structures with no witness are solved, one of each pair +-j: the rows of
-    -j are those of j negated, with the same kernel.
-    """
-    s = len(ts.positive)
-    witnessed = _closed_witness_mask(ts)
-    plus = (1 << (1 << (s - 1))) - 1  # the structures giving class 0 the sign +1
-    solved = [
-        n for n in _set_bits(integrable & ~witnessed & plus)
-        if closed_metric_feasibility(_structure(n, s), ts).feasible
-    ]
-    return witnessed | _mask_and_negations(solved, s)
 
 
 class PairWitness(_Frozen):

@@ -13,7 +13,6 @@ import flagclass
 from flagclass import chevalley, cli, structures, weyl
 from flagclass.chevalley import StructureConstants, compute_structure_constants
 from flagclass.errors import InvariantViolationError
-from flagclass.feasibility import QKFeasibility
 from flagclass.flag import make_flag
 from flagclass.rootsys import LieType
 from flagclass.tzs import ConnectivityReport
@@ -527,55 +526,12 @@ def negate_a2_full_plus_point(monkeypatch):
     monkeypatch.setattr(structures, "_chamber_points", faulted)
 
 
-def count_closed_metric_solves(monkeypatch):
-    asked = []
-    real = structures.closed_metric_feasibility
-
-    def counted(j, ts):
-        asked.append((ts.flag.label(), j.signs))
-        return real(j, ts)
-
-    # _closed_metric_mask looks the name up in structures on each call
-    monkeypatch.setattr(structures, "closed_metric_feasibility", counted)
-    return asked
-
-
-def test_verify_falls_back_to_a_solve_where_a_chamber_point_is_wrong(capsys, monkeypatch):
-    code, clean, _ = run_cli(capsys, "verify", "--max-rank", "2")
-    assert code == 0
-    negate_a2_full_plus_point(monkeypatch)
-    asked = count_closed_metric_solves(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
-    assert (code, out) == (0, clean)
-    # one solve decides the structure and its negation
-    assert asked == [("A2 theta=", (1, 1, 1))]
-
-
-def test_verify_fourway_workload_makes_no_closed_metric_solve(capsys, monkeypatch):
-    # every integrable structure up to rank 3 is witnessed by its chamber point
-    asked = count_closed_metric_solves(monkeypatch)
-    code, out, _ = run_cli(capsys, "verify", "--max-rank", "3", "--iacs-cap", "6")
-    assert code == 0
-    assert "PASS ak-equals-k (" in out
-    assert asked == []
-
-
 def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_metric(
     capsys, monkeypatch
 ):
-    # no chamber witness either, so verify asks the solve about that structure
+    # the closed-metric decision is the chamber witness alone: with no
+    # solve beside it, an integrable structure left unwitnessed fails
     negate_a2_full_plus_point(monkeypatch)
-    real = structures.closed_metric_feasibility
-
-    def faulted(j, ts):
-        # the all-plus structure is integrable on every flag; call it infeasible on A2 full
-        answer = real(j, ts)
-        if str(ts.flag.rs.lie_type) == "A2" and not ts.flag.theta and set(j.signs) == {1}:
-            return QKFeasibility(False, None, answer.equations, None)
-        return answer
-
-    # _closed_metric_mask looks the name up in structures on each call
-    monkeypatch.setattr(structures, "closed_metric_feasibility", faulted)
     code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
     assert code == 3
     failed = [line for line in out.splitlines() if not line.startswith("PASS")]
@@ -597,52 +553,22 @@ def test_classify_ak_equals_k_reads_false_when_no_structure_has_a_closed_metric(
             return tuple((signs, tuple(-x for x in point)) for signs, point in points)
         return points
 
-    asked = []
-
-    def infeasible(j, ts):
-        asked.append(j.signs)
-        return QKFeasibility(False, None, (), None)
-
     monkeypatch.setattr(structures, "_chamber_points", negated)
-    monkeypatch.setattr(structures, "closed_metric_feasibility", infeasible)
     payload = run_json(capsys, "classify", "--type", "A3", "--theta")
     integrable = {tuple(e["signs"]) for e in payload["iacs"] if e["integrable"]}
     assert len(integrable) == 24
-    # one solve per pair +-j of the integrable structures, the one with class 0 at +1
-    assert len(asked) == 12
-    assert all(signs[0] == 1 for signs in asked)
-    assert set(asked) | {tuple(-x for x in signs) for signs in asked} == integrable
     assert payload["theorems"]["ak_equals_k"] is False
 
 
-def test_classify_falls_back_to_a_solve_where_a_chamber_point_is_wrong(capsys, monkeypatch):
+def test_classify_ak_equals_k_reads_false_where_a_chamber_point_is_wrong(capsys, monkeypatch):
     argv = ("classify", "--type", "A2", "--theta=", "--format", "json")
-    code, clean, _ = run_cli(capsys, *argv)
-    assert code == 0
+    clean = run_json(capsys, *argv)
+    assert clean["theorems"]["ak_equals_k"] is True
     negate_a2_full_plus_point(monkeypatch)
-    asked = count_closed_metric_solves(monkeypatch)
-    code, out, _ = run_cli(capsys, *argv)
-    assert (code, out) == (0, clean)
-    assert asked == [("A2 theta=", (1, 1, 1))]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--type", "A3", "--theta=", "--format", "json"),
-        ("classify", "--type", "G2", "--theta=", "--format", "json"),
-        ("classify", "--type", "D4", "--theta=1", "--format", "json"),
-        ("sweep", "--max-rank", "2"),
-    ],
-)
-def test_classify_and_sweep_make_no_closed_metric_solve(capsys, monkeypatch, tmp_path, argv):
-    # every integrable structure is witnessed by its chamber point
-    if argv[0] == "sweep":
-        argv += ("--out", str(tmp_path / "sweep"))
-    asked = count_closed_metric_solves(monkeypatch)
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert asked == []
+    faulted = run_json(capsys, *argv)
+    assert faulted["theorems"]["ak_equals_k"] is False
+    # only the theorem reads the chamber points
+    assert faulted["iacs"] == clean["iacs"]
 
 
 @pytest.mark.parametrize(
@@ -660,24 +586,32 @@ def test_classify_solves_one_qk_system_per_conjugate_pair(
     # flag's 2^s structures take 2^(s-1) solves, all giving class 0 the sign +1
     if argv[0] == "sweep":
         argv += ("--out", str(tmp_path / "sweep"))
-    asked = []
-    real = cli.qk_feasibility
+    # -j also has the one-signed triples of j, so its integrability and C(j)
+    # are read off j's entry
+    asked = {name: [] for name in ("qk_feasibility", "is_integrable", "c_of_j")}
 
-    def counted(j, ts):
-        asked.append((ts.flag.label(), len(ts.positive), j.signs))
-        return real(j, ts)
+    def counting(name):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "qk_feasibility", counted)
+        def counted(j, ts):
+            asked[name].append((ts.flag.label(), len(ts.positive), j.signs))
+            return real(j, ts)
+
+        return counted
+
+    for name in asked:
+        monkeypatch.setattr(cli, name, counting(name))
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
-    assert len(asked) == solves
-    assert all(signs[0] == 1 for _, _, signs in asked)
-    per_flag = {}
-    for label, s, signs in asked:
-        per_flag.setdefault((label, s), set()).add(signs)
-    assert {key: len(v) for key, v in per_flag.items()} == {
-        (label, s): 1 << (s - 1) for label, s in per_flag
-    }
+    for name, calls in asked.items():
+        assert len(calls) == solves, name
+        assert all(signs[0] == 1 for _, _, signs in calls), name
+        per_flag = {}
+        for label, s, signs in calls:
+            per_flag.setdefault((label, s), set()).add(signs)
+        assert {key: len(v) for key, v in per_flag.items()} == {
+            (label, s): 1 << (s - 1) for label, s in per_flag
+        }, name
 
 
 def test_verify_weyl_cap_skips_groups_over_it(capsys):

@@ -148,9 +148,9 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_feasibility_caches_nothing():
     # The solver is a pure function of its rows.  Its callers pair conjugate
-    # structures themselves (classify and _closed_metric_mask solve one of
-    # each +-j), so a cache would only hold answers that are never asked for
-    # again, sized for one structure count and thrashing above it.
+    # structures themselves (classify solves one of each +-j), so a cache
+    # would only hold answers that are never asked for again, sized for one
+    # structure count and thrashing above it.
     tree = ast.parse(Path(flagclass.__file__).with_name("feasibility.py").read_text())
     decorators = [
         name
@@ -162,3 +162,21 @@ def test_feasibility_caches_nothing():
         if name in {"lru_cache", "cache", "cached_property"}
     ]
     assert decorators == []
+
+
+def test_no_module_solves_for_a_closed_metric():
+    # A closed metric comes from a chamber point (_closed_witness_mask), so
+    # a wrong point fails ak-equals-k instead of being patched over by a
+    # solve.  closed_metric_feasibility stays public as the tests' oracle.
+    package = Path(flagclass.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        uses += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and "closed_metric_feasibility"
+            in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        ]
+    assert uses == []

@@ -62,7 +62,6 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
                 not any(single_signed(triple_sum_row(j, tr, ts)) for tr in triples)
                 for j in iacs
             ]
-            closed_metric = [closed_metric_feasibility(j, ts).feasible for j in iacs]
             expected = {
                 "triples": [is_integrable(j, ts) for j in iacs],
                 "pairs": [pairs_integrable(j, ts) for j in iacs],
@@ -71,8 +70,7 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
                 # only an integrable structure's closed rows have no single-signed row
                 "closed": no_single_signed_row,
                 "candidates": no_single_signed_row,
-                "witness": closed_metric,
-                "metric": closed_metric,
+                "witness": [closed_metric_feasibility(j, ts).feasible for j in iacs],
             }
             integrable = structures._integrable_mask(ts)
             masks = {
@@ -83,7 +81,6 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
                 "closed": integrable,
                 "candidates": closed_candidates_mask(ts),
                 "witness": structures._closed_witness_mask(ts),
-                "metric": structures._closed_metric_mask(ts, integrable),
             }
             for route, mask in masks.items():
                 assert mask >> (1 << s) == 0, (where, route)
@@ -91,12 +88,11 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
     assert seen == set(range(1, 11)) | {12}
 
 
-def test_set_bits_and_mask_invert_each_other():
+def test_mask_sets_the_chosen_bits_and_lowest_bit_reads_the_first():
     for s in (1, 2, 3, 4, 9):
         for chosen in ([], [0], [(1 << s) - 1], list(range(0, 1 << s, 3))):
             mask = structures._mask(chosen, s)
             assert mask == sum(1 << n for n in chosen)
-            assert list(structures._set_bits(mask)) == chosen
             if chosen:
                 assert structures._lowest_bit(mask) == chosen[0]
 
@@ -117,7 +113,6 @@ def test_routes_agree_on_f4_full_with_one_bit_per_weyl_element():
     assert structures._chamber_mask(ts) == integrable
     assert closed_candidates_mask(ts) == integrable
     assert structures._closed_witness_mask(ts) == integrable
-    assert structures._closed_metric_mask(ts, integrable) == integrable
 
 
 def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
@@ -157,7 +152,8 @@ def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
 def test_run_verify_builds_no_structure_list():
     # verify decides every structure through the masks; a per-structure loop
     # over these would put the 2^s-entry list back on its path.  classify and
-    # verify read one ak-equals-k decision, and cli leaves its solves to it.
+    # verify read one ak-equals-k decision, the chamber witness, and make no
+    # closed-metric solve.
     source = (SRC / "cli.py").read_text()
     tree = ast.parse(source, filename="cli.py")
     calls = {}
@@ -170,8 +166,8 @@ def test_run_verify_builds_no_structure_list():
             }
     assert "_integrable_mask" in calls["run_verify"]
     assert calls["run_verify"] & {"enumerate_iacs", "is_integrable", "nijenhuis_oracle"} == set()
-    assert all("_closed_metric_mask" in called for called in calls.values())
+    assert all("_closed_witness_mask" in called for called in calls.values())
     assert "closed_metric_feasibility" not in source
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert named & {"_closed_witness_mask", "_mask_and_negations", "_set_bits", "_mask"} == set()
+    assert named & {"_mask_and_negations", "_mask", "t_chambers"} == set()

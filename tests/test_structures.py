@@ -501,6 +501,9 @@ def test_validation_errors():
     for lambdas in ((0.1,), ("x",), (None,), (True,)):
         with pytest.raises(InvalidInputError):
             InvariantMetric(lambdas)
+    # a generator is read once, as IACS reads one
+    assert InvariantMetric(x for x in (1, 2)).lambdas == (Fraction(1), Fraction(2))
+    assert IACS(x for x in (1, -1)).signs == (1, -1)
     # a sign vector or metric of the wrong length is an error on A2 full (s = 3)
     f = make_flag(rs_for("A2"), frozenset())
     ts, sc = build_t_roots(f), sc_for("A2")
