@@ -33,6 +33,7 @@ _EXPORTS = {
         "ProjectsToZeroError",
         "RootArgumentError",
     ),
+    "feasibility": ("QKFeasibility",),
     "flag": (
         "FlagSpec",
         "TRoot",
@@ -55,7 +56,6 @@ _EXPORTS = {
     "structures": (
         "IACS",
         "InvariantMetric",
-        "QKFeasibility",
         "StructureLabel",
         "TripleClass",
         "VerificationReport",
@@ -100,7 +100,7 @@ _EXPORTS = {
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "feasibility")
+_SUBMODULES = (*_EXPORTS, "cli")
 
 __all__ = sorted(_SOURCE)
 

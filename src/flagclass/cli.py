@@ -32,17 +32,17 @@ from .rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from .structures import (
     IACS_CAP,
     TripleClass,
+    _c_of,
     _chamber_mask,
     _closed_witness_mask,
+    _integrable,
     _integrable_mask,
     _lowest_bit,
     _nijenhuis_mask,
     _one_sign,
     _pairs_mask,
     _structure,
-    c_of_j,
     enumerate_iacs,
-    is_integrable,
     normal_metric_unique,
     qk_feasibility,
     t_zero_sum_triples,
@@ -188,22 +188,20 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     structures = enumerate_iacs(ts, cap=iacs_cap)
     # the list reversed is the list negated.  -j has the QK rows of j negated,
     # with the same answer and sample, and the one-signed triples of j: build
-    # each pair's entry once
+    # each pair's entry once, from one _one_sign pass
     half = []
     for j in structures[: len(structures) // 2]:
-        qk = qk_feasibility(j, ts)
+        one = _one_sign(j.signs, ts)
+        qk = qk_feasibility(j, ts, one=one)
         half.append(
             {
-                "integrable": is_integrable(j, ts),
-                "c_of_j": sorted(list(t.coords) for t in c_of_j(j, ts)),
+                "integrable": _integrable(one),
+                "c_of_j": sorted(list(t.coords) for t in _c_of(one, ts)),
                 "qk": {
                     "feasible": qk.feasible,
                     "sample": None if qk.sample is None else [_frac(x) for x in qk.sample],
                 },
-                "triples": [
-                    {"members": m, "class": classes[one]}
-                    for m, one in zip(members, _one_sign(j.signs, ts))
-                ],
+                "triples": [{"members": m, "class": classes[o]} for m, o in zip(members, one)],
             }
         )
     entries = [{"signs": list(j.signs), **v} for j, v in zip(structures, half + half[::-1])]

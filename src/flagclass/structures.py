@@ -8,7 +8,8 @@ reduced criterion is checked against an independent route: a tensor evaluation
 on the Weyl basis or a cone realizability test.  The two routes must agree.
 `verify` compares the integrability routes and reports a mismatch as a FAIL
 line; elsewhere a mismatch raises an invariant violation instead of returning
-a guess.
+a guess.  The exact solver is imported by the two solves that run it, so
+`info` and `verify`, which solve nothing, never load `feasibility`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import itertools
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import (
     CapExceededError,
@@ -25,7 +26,6 @@ from .errors import (
     InvariantViolationError,
     _Frozen,
 )
-from .feasibility import QKFeasibility, scale_to_integers, solve_positive_kernel, solve_strict_rows
 from .flag import FlagSpec, TRoot, TRootSystem, build_t_roots
 from .rootsys import Root
 from .tzs import (
@@ -142,7 +142,8 @@ def _signed_members(ts: TRootSystem, t: ZeroSumTriple) -> tuple[tuple[int, int],
 @lru_cache(maxsize=None)
 def _signed_triples(ts: TRootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The signed members of every zero-sum triple, in t_zero_sum_triples order."""
-    return tuple(_signed_members(ts, t) for t in t_zero_sum_triples(ts))
+    cls = {t.coords: ts.classify(t) for t in ts.t_roots}
+    return tuple(tuple(cls[m] for m in t.members) for t in t_zero_sum_triples(ts))
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +178,10 @@ def _one_sign(signs: tuple[int, ...], ts: TRootSystem) -> tuple[bool, ...]:
     )
 
 
-def _signed_row(j: IACS, signed, s: int) -> tuple[int, ...]:
+def _signed_row(signs: tuple[int, ...], signed, s: int) -> tuple[int, ...]:
     row = [0] * s
     for idx, sgn in signed:
-        row[idx] += sgn * j.signs[idx]
+        row[idx] += sgn * signs[idx]
     return tuple(row)
 
 
@@ -195,10 +196,28 @@ def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
     return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
 
 
+# `classify` reads one _one_sign pass per structure; these helpers give
+# is_integrable and c_of_j from such a pass, and qk_feasibility takes one.
+
+
+def _integrable(one: tuple[bool, ...]) -> bool:
+    """The triple criterion: no zero-sum triple is one-signed."""
+    return not any(one)
+
+
+def _c_of(one: tuple[bool, ...], ts: TRootSystem) -> frozenset[TRoot]:
+    """The positive representatives of the members of the one-signed triples."""
+    return frozenset(
+        ts.positive[idx]
+        for signed in itertools.compress(_signed_triples(ts), one)
+        for idx, _ in signed
+    )
+
+
 def is_integrable(j: IACS, ts: TRootSystem) -> bool:
     """True iff no zero-sum triple of t-roots is all-equal-sign under j."""
     _check_lengths(ts, j.signs)
-    return not any(_one_sign(j.signs, ts))
+    return _integrable(_one_sign(j.signs, ts))
 
 
 @lru_cache(maxsize=None)
@@ -237,11 +256,7 @@ def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
 def c_of_j(j: IACS, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some all-equal-sign triple."""
     _check_lengths(ts, j.signs)
-    return frozenset(
-        ts.positive[idx]
-        for signed in itertools.compress(_signed_triples(ts), _one_sign(j.signs, ts))
-        for idx, _ in signed
-    )
+    return _c_of(_one_sign(j.signs, ts), ts)
 
 
 def c_of_g(g: InvariantMetric, ts: TRootSystem) -> frozenset[TRoot]:
@@ -323,18 +338,24 @@ def g1_oracle(
 def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[int, ...]:
     """Coefficient row of the signed metric sum over one triple."""
     _check_lengths(ts, j.signs)
-    return _signed_row(j, _signed_members(ts, t), len(ts.positive))
+    return _signed_row(j.signs, _signed_members(ts, t), len(ts.positive))
 
 
-def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
-    """Decide whether some positive metric zeroes every mixed-sign triple sum."""
+def qk_feasibility(
+    j: IACS, ts: TRootSystem, *, one: tuple[bool, ...] | None = None
+) -> QKFeasibility:
+    """Decide whether some positive metric zeroes every mixed-sign triple sum.
+
+    `one` is the one-sign pass of j, `_one_sign(j.signs, ts)`, for a caller
+    that has it already; by default it is computed here.
+    """
+    from .feasibility import solve_positive_kernel
+
     _check_lengths(ts, j.signs)
+    if one is None:
+        one = _one_sign(j.signs, ts)
     s = len(ts.positive)
-    rows = [
-        _signed_row(j, signed, s)
-        for signed, one in zip(_signed_triples(ts), _one_sign(j.signs, ts))
-        if not one
-    ]
+    rows = [_signed_row(j.signs, signed, s) for signed, o in zip(_signed_triples(ts), one) if not o]
     return solve_positive_kernel(rows, s)
 
 
@@ -345,9 +366,11 @@ def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     whose rows have coefficients of a single sign and so rule out positive
     solutions on their own: feasible here implies integrable.
     """
+    from .feasibility import solve_positive_kernel
+
     _check_lengths(ts, j.signs)
     s = len(ts.positive)
-    rows = [_signed_row(j, signed, s) for signed in _signed_triples(ts)]
+    rows = [_signed_row(j.signs, signed, s) for signed in _signed_triples(ts)]
     return solve_positive_kernel(rows, s)
 
 
@@ -393,60 +416,103 @@ def classify_structure(
     return frozenset(labels)
 
 
+def _closing_rows(pos: list[tuple[int, ...]]):
+    """Per class k and sign e: the (i, a, m, b), i <= m < k, with a pos_i + b pos_m + e pos_k = 0.
+
+    Read off the rows' own coordinates, one pair of signed rows at a time.
+    m = i stands for 2 a pos_i + e pos_k = 0, and also records a pos_i +
+    2 e pos_k = 0.  A prefix whose signs give a and b to classes i and m,
+    and e to class k, holds three rows that sum to zero, Farkas weights of
+    1 or 2, so no point is strictly positive on all of them.
+    """
+    signed = [(i, a, tuple(a * c for c in p)) for i, p in enumerate(pos) for a in (1, -1)]
+    where = {r: (i, a) for i, a, r in signed}
+    closing = [{1: [], -1: []} for _ in pos]
+    for x, (i, a, p) in enumerate(signed):
+        minus_p = tuple(-c for c in p)
+        for m, b, q in signed[x:]:
+            k, e = where.get(tuple(map(sub, minus_p, q)), (0, 0))
+            if k > m:
+                closing[k][e].append((i, a, m, b))
+        if not any(c % 2 for c in p):
+            k, e = where.get(tuple(-c // 2 for c in p), (0, 0))
+            if k > i:
+                closing[k][e].append((i, a, i, a))
+    return closing
+
+
+def _closes_a_triple(prefix: tuple[int, ...], certificates) -> bool:
+    """Does the prefix give some certificate (i, a, m, b) of its newest class the signs a and b?"""
+    return any(prefix[i] == a and prefix[m] == b for i, a, m, b in certificates)
+
+
+def _koszul_columns(ts: TRootSystem) -> tuple[tuple[int, ...], ...]:
+    """Per class k: M (alpha_i, w_k) over the unpainted simple roots alpha_i, M the int_gram scale.
+
+    w_k is the sum of the fiber of pos_k.  A reflection in a painted simple
+    root keeps each fiber, so w_k is orthogonal to the painted roots, and a
+    root alpha of fiber k pairs with w as pos_k pairs with these columns.
+    """
+    rs = ts.flag.rs
+    gram = [rs.int_gram[1][i - 1] for i in ts.flag.sigma_m]
+    columns = []
+    for t in ts.positive:
+        w = [sum(c) for c in zip(*(a.coords for a in ts.fibers[t]))]
+        columns.append(tuple(sum(map(mul, g, w)) for g in gram))
+    return tuple(columns)
+
+
+def _koszul_witness(pos, signs: tuple[int, ...], point: tuple[int, ...]) -> bool:
+    """Is lambda_k = j_k (pos_k . H) strictly positive for every class k?"""
+    return all(j * sum(map(mul, p, point)) > 0 for j, p in zip(signs, pos))
+
+
 @lru_cache(maxsize=None)
 def _chamber_points(ts: TRootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(signs, int point H) for each chamber on the + side of the first positive t-root.
 
-    H is parameterized by its pairings with the unpainted simple roots, so
-    each positive t-root evaluates through its coordinate vector, and H is
-    strictly positive on the chamber's signed rows.  Only the + side is
-    searched: if H realizes some signs, -H realizes their negation.  Sign
-    prefixes are explored depth first and pruned by exact feasibility.  Each
-    node passes its int sample x down.  A child whose new row r has r.x > 0
-    keeps x.  If r.x = 0, both children take M x +- r with M = 1 + max |p.r|
-    over the prefix rows p, which is strictly positive on the prefix
-    (p.x >= 1) and on +-r; the sample is checked against the child's rows.
-    Only a child with r.x < 0 runs an elimination, and most of those
-    prefixes are empty.  The chambers come in enumeration order.
+    No elimination runs.  Sign prefixes are searched depth first in class
+    order, and a prefix is dropped as soon as its newest row and earlier rows
+    of the prefix sum to zero (`_closing_rows`): that certifies it empty.  A
+    leaf J left standing counts as a chamber only once its Koszul point is
+    checked inside it: H pairs each unpainted simple root with v_J, the sum
+    of the J-positive roots of R_M, in ints (`_koszul_columns`, summed with
+    the signs of J and updated one class at a time down the search), so
+    lambda_k = j_k (pos_k . H) must be strictly positive.  For an integrable
+    J, v_J lies in J's chamber (Koszul; Borel-Hirzebruch 1958), and the
+    leaves left standing are the integrable structures.  A leaf without a
+    witness is no chamber here, and the four-way check then reports it.
+    Only the + side is searched: if H realizes some signs, -H realizes their
+    negation.  The chambers come in enumeration order.
     """
-    ambient = len(ts.flag.sigma_m)
     pos = [t.coords for t in ts.positive]
+    closing = _closing_rows(pos)
+    signed_columns = [
+        {e: tuple(e * c for c in column) for e in (1, -1)} for column in _koszul_columns(ts)
+    ]
     half = []
 
-    def extend(rows, signs, sample):
+    def extend(signs, point):
         k = len(signs)
         if k == len(pos):
-            half.append((signs, sample))
+            if _koszul_witness(pos, signs, point):
+                half.append((signs, point))
             return
-        normal = pos[k]
-        at = sum(map(mul, normal, sample))
-        if at == 0:
-            m = 1 + max(abs(sum(map(mul, r, normal))) for r in rows)
         for sign in (1, -1):
-            row = tuple(sign * c for c in normal)
-            child = rows + [row]
-            if at == 0:
-                point = tuple(m * v + c for v, c in zip(sample, row))
-                if any(sum(map(mul, r, point)) <= 0 for r in child):
-                    raise InvariantViolationError("split chamber sample violates a row")
-            elif sign * at > 0:
-                point = sample
-            else:
-                x = solve_strict_rows(child, ambient)
-                if x is None:
-                    continue
-                point = scale_to_integers(x)
-            extend(child, signs + (sign,), point)
+            prefix = signs + (sign,)
+            if not _closes_a_triple(prefix, closing[k][sign]):
+                extend(prefix, tuple(map(add, point, signed_columns[k][sign])))
 
-    extend([pos[0]], (1,), pos[0])
+    extend((1,), signed_columns[0][1])
     return tuple(half)
 
 
 def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
     """Sign vectors realizable by a regular point: every t-root keeps a strict sign.
 
-    The + side of the first positive t-root is `_chamber_points`; the - side
-    is that half negated and reversed, which puts it in enumeration order.
+    The + side of the first positive t-root is `_chamber_points`, each
+    chamber found with a checked point inside it and no solve; the - side is
+    that half negated and reversed, which puts it in enumeration order.
     """
     half = [signs for signs, _ in _chamber_points(ts)]
     return tuple(
@@ -574,12 +640,14 @@ def _chamber_mask(ts: TRootSystem) -> int:
 def _closed_witness_mask(ts: TRootSystem) -> int:
     """The structures given a closed metric by their chamber point, each one checked.
 
-    For the chamber of j with point H, lambda_k = j_k (pos_k . H) is
-    positive, and the row of j on a triple is zero at lambda because the
-    members sum to zero: the Borel-Hirzebruch metric, built in ints.  A bit
-    is set only once lambda is checked strictly positive and every closed
-    row of j zero at it.  The same lambda serves -j, whose rows are those of
-    j negated.
+    For the chamber of j with its Koszul point H, lambda_k = j_k (pos_k . H)
+    is positive, and the row of j on a triple is zero at lambda because the
+    members sum to zero: the Borel-Hirzebruch metric, built in ints.  The
+    chamber search checked positivity already; it is checked again here,
+    beside the closed rows, which the search never reads.  A bit is set
+    only once lambda is checked strictly positive and every closed row of j
+    zero at it.  The same lambda serves -j, whose rows are those of j
+    negated.
 
     This is the closed-metric decision, with no solve beside it.  A
     structure outside _integrable_mask has a one-signed triple, whose closed
@@ -680,11 +748,13 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
     if not holds:
         return VerificationReport(False, ())
 
+    # chains share triples: one forcing structure per distinct triple
+    forcing_of = lru_cache(maxsize=None)(lambda t: _forcing_iacs(ts, t))
     witnesses = []
     for i in range(s):
         for k in range(i + 1, s):
             chain = chain_between(fs, ts.positive[i], ts.positive[k])
-            forcing = tuple(_forcing_iacs(ts, t) for t in chain.triples)
+            forcing = tuple(map(forcing_of, chain.triples))
             witnesses.append(
                 PairWitness((ts.positive[i], ts.positive[k]), chain, forcing)
             )

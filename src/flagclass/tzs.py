@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import neg
 from types import MappingProxyType
 
 from .errors import (
@@ -25,12 +26,16 @@ Vec = tuple[int, ...]
 
 
 def _neg(v: Vec) -> Vec:
-    return tuple(-x for x in v)
+    return tuple(map(neg, v))
 
 
 def pm_class_rep(v: Vec) -> Vec:
-    """Canonical representative of the sign class {v, -v}: the lex-larger one."""
-    return max(v, _neg(v))
+    """Canonical representative of the sign class {v, -v}: the lex-larger one.
+
+    That is v when its first nonzero coordinate is positive, that is when v
+    is lex-larger than the zero vector.
+    """
+    return v if v > (0,) * len(v) else _neg(v)
 
 
 def _int_vec(v) -> Vec:
@@ -75,9 +80,9 @@ def make_functional_set(items) -> FunctionalSet:
 
 
 class ZeroSumTriple(_Frozen):
-    """A multiset of three functionals summing to zero, stored sorted."""
+    """A multiset of three functionals summing to zero, stored sorted, with its sign classes."""
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "_classes")
     members: tuple[Vec, Vec, Vec]
 
     def __init__(self, members: tuple[Vec, Vec, Vec]):
@@ -92,9 +97,10 @@ class ZeroSumTriple(_Frozen):
             raise InvalidInputError("zero vector inside a triple")
         if any(sum(col) != 0 for col in zip(*members)):
             raise InvalidInputError(f"members of {members} do not sum to zero")
+        object.__setattr__(self, "_classes", frozenset(pm_class_rep(v) for v in members))
 
     def classes(self) -> frozenset[Vec]:
-        return frozenset(pm_class_rep(v) for v in self.members)
+        return self._classes
 
     def contains_class(self, v: Vec) -> bool:
         return pm_class_rep(v) in self.classes()
@@ -205,12 +211,14 @@ def _chain_from_tree(a: Vec, b: Vec, tree) -> TzsChain:
     return chain
 
 
+@functools.lru_cache(maxsize=None)
 def connectivity(s: FunctionalSet) -> ConnectivityReport:
     """Partition the sign classes by the triple relation.
 
     Connected means at most one component; a lone class with no triples is
     connected vacuously.  Each non-base class of a component gets a witness
-    chain from the component's first class.
+    chain from the component's first class.  One report per set, shared by
+    every caller that asks about it.
     """
     reps = s.class_reps()
     comps: list[tuple[Vec, ...]] = []

@@ -15,6 +15,7 @@ from flagclass.chevalley import StructureConstants, compute_structure_constants
 from flagclass.errors import InvariantViolationError
 from flagclass.flag import make_flag
 from flagclass.rootsys import LieType
+from flagclass.structures import VerificationReport
 from flagclass.tzs import ConnectivityReport
 
 
@@ -541,6 +542,35 @@ def test_verify_fails_ak_equals_k_on_an_integrable_structure_without_a_closed_me
     ]
 
 
+def test_verify_fails_where_a_koszul_point_drops_a_fiber(capsys, monkeypatch):
+    # v_J without the fiber of class 0, alpha_2 on A2 full, is orthogonal to
+    # alpha_2: the all-plus leaf loses its witness, so the chamber route and
+    # the closed metric both miss it
+    real = structures._koszul_columns
+
+    def faulted(ts):
+        columns = real(ts)
+        if str(ts.flag.rs.lie_type) == "A2" and not ts.flag.theta:
+            return ((0,) * len(columns[0]), *columns[1:])
+        return columns
+
+    monkeypatch.setattr(structures, "_koszul_columns", faulted)
+    structures._chamber_points.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    finally:
+        structures._chamber_points.cache_clear()
+    assert code == 3
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS")] == [
+        "FAIL integrability-four-way: A2 theta=(): integrability routes disagree"
+        " at signs=(1, 1, 1)",
+        "FAIL ak-equals-k: A2 theta=(): closed metric feasible=False, integrable=True"
+        " at signs=(1, 1, 1)",
+    ]
+    assert len(lines) == 7
+
+
 def test_classify_ak_equals_k_reads_false_when_no_structure_has_a_closed_metric(
     capsys, monkeypatch
 ):
@@ -586,21 +616,25 @@ def test_classify_solves_one_qk_system_per_conjugate_pair(
     # flag's 2^s structures take 2^(s-1) solves, all giving class 0 the sign +1
     if argv[0] == "sweep":
         argv += ("--out", str(tmp_path / "sweep"))
-    # -j also has the one-signed triples of j, so its integrability and C(j)
-    # are read off j's entry
-    asked = {name: [] for name in ("qk_feasibility", "is_integrable", "c_of_j")}
+    # -j also has the one-signed triples of j, so its integrability, C(j),
+    # QK rows and triple classes are read off one _one_sign pass of j, made
+    # once wherever it is looked up
+    asked = {name: [] for name in ("_one_sign", "qk_feasibility")}
 
-    def counting(name):
-        real = getattr(cli, name)
-
-        def counted(j, ts):
-            asked[name].append((ts.flag.label(), len(ts.positive), j.signs))
-            return real(j, ts)
+    def counting(name, real):
+        def counted(j, ts, **kwargs):
+            signs = getattr(j, "signs", j)
+            asked[name].append((ts.flag.label(), len(ts.positive), signs))
+            return real(j, ts, **kwargs)
 
         return counted
 
-    for name in asked:
-        monkeypatch.setattr(cli, name, counting(name))
+    monkeypatch.setattr(cli, "qk_feasibility", counting("qk_feasibility", cli.qk_feasibility))
+    one_sign = counting("_one_sign", structures._one_sign)
+    monkeypatch.setattr(cli, "_one_sign", one_sign)
+    monkeypatch.setattr(structures, "_one_sign", one_sign)
+    # the uniqueness sweep makes passes of its own, over every structure
+    monkeypatch.setattr(cli, "normal_metric_unique", lambda f, cap: VerificationReport(True, ()))
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
     for name, calls in asked.items():

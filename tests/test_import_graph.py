@@ -77,6 +77,26 @@ def test_commands_load_the_verify_layers_only_for_verify(tmp_path, argv, loads_v
 
 
 @pytest.mark.parametrize(
+    "argv, loads_solver",
+    [
+        (["info", "--type", "A2", "--theta="], False),
+        (["classify", "--type", "A2", "--theta="], True),
+        (["sweep", "--max-rank", "1", "--out", "{tmp}"], True),
+        (["verify", "--max-rank", "2"], False),
+    ],
+    ids=["info", "classify", "sweep", "verify"],
+)
+def test_only_the_quasi_kahler_solves_load_the_solver(tmp_path, argv, loads_solver):
+    # verify finds chambers and closed metrics with no elimination, so it
+    # never loads feasibility; classify and sweep solve quasi-Kahler systems
+    argv = [a.replace("{tmp}", str(tmp_path / "sweep")) for a in argv]
+    proc = run_child("-c", RUN_MAIN, *argv)
+    code, loaded, _, _ = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert ("flagclass.feasibility" in loaded) is loads_solver
+
+
+@pytest.mark.parametrize(
     "argv, loads_json",
     [
         (["info", "--type", "A2", "--theta="], False),
@@ -162,6 +182,24 @@ def test_feasibility_caches_nothing():
         if name in {"lru_cache", "cache", "cached_property"}
     ]
     assert decorators == []
+
+
+def test_no_module_runs_the_strict_solver():
+    # Chambers are found by zero-sum prunes and Koszul witnesses, with no
+    # elimination.  solve_strict_rows stays in feasibility as the tests'
+    # chamber oracle; no other module names it.
+    package = Path(flagclass.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        uses += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            and "solve_strict_rows"
+            in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        ]
+    assert uses == []
 
 
 def test_no_module_solves_for_a_closed_metric():

@@ -128,6 +128,9 @@ def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
     monkeypatch.setattr(structures, "_signed_triples", lambda t: faulted if t is ts else real)
     monkeypatch.setattr(cli, "types_up_to", lambda rank: [LieType.parse("F4")])
     monkeypatch.setattr(cli, "proper_subsets", lambda rank: [()])
+    # search the chambers afresh under the fault: they read no triple table,
+    # so the chamber route stays an independent check
+    structures._chamber_points.cache_clear()
     code = cli.main(["verify", "--max-rank", "4", "--iacs-cap", "24"])
     out = capsys.readouterr().out
     signs = (1,) * 9 + (-1,) * 10 + (1,) * 4 + (-1,)

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from flagclass import structures
+from flagclass import feasibility, structures
 from flagclass.chevalley import bracket_coefficient, compute_structure_constants
 from flagclass.errors import (
     CapExceededError,
@@ -255,31 +255,76 @@ def test_chambers_match_sign_vectors_of_grid_points():
             assert realized == {j.signs for j in t_chambers(ts)}, ts.flag.label()
 
 
-def test_chambers_reuse_parent_samples(monkeypatch):
-    # the flags `verify --max-rank 3 --iacs-cap 6` runs the chamber search on;
-    # a node whose new row is positive at its parent's sample, or zero there
-    # (a split sample), runs no elimination, and the - side of the first
-    # t-root is never searched
-    calls = []
-    solve = structures.solve_strict_rows
-
-    def counted(rows, n):
-        calls.append(len(rows))
-        return solve(rows, n)
-
-    monkeypatch.setattr(structures, "solve_strict_rows", counted)
-    # count a cold search, not the points an earlier test left in the cache
+@pytest.fixture
+def cold_chamber_search():
+    """Search afresh, and leave no point found under a patch in the cache."""
     structures._chamber_points.cache_clear()
-    searched = 0
-    for t in types_up_to(3):
+    yield
+    structures._chamber_points.cache_clear()
+
+
+def flags_up_to_rank4():
+    for t in types_up_to(4):
         for theta in proper_subsets(t.rank):
-            ts = build_t_roots(make_flag(rs_for(str(t)), theta))
-            if len(ts.positive) <= 6:
-                t_chambers(ts)
-                searched += 1
-    assert searched == 29
-    assert len(calls) == 72  # 362 with both half-spaces and no split, 519 with neither reuse
-    assert min(calls) == 2  # the search starts from the row of the first t-root
+            yield build_t_roots(make_flag(rs_for(str(t)), theta))
+
+
+def test_chamber_search_runs_no_elimination(monkeypatch, cold_chamber_search):
+    # prefixes are dropped by zero-sum rows and leaves certified by their
+    # Koszul point, so every flag up to rank 4, F4 full (s = 24) included,
+    # is searched without one Fourier-Motzkin run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chamber search ran an elimination")
+
+    monkeypatch.setattr(feasibility, "_eliminate", refuse)
+    chambers = sum(len(t_chambers(ts)) for ts in flags_up_to_rank4())
+    assert chambers == 3750
+
+
+def test_chamber_search_drops_only_empty_prefixes_and_witnesses_every_leaf(
+    monkeypatch, cold_chamber_search
+):
+    # the two certificates of the search, each checked by the solver it
+    # replaced: every prefix it drops has no strictly positive point, and
+    # every leaf it keeps standing is witnessed by its Koszul point
+    dropped, leaves = [], []
+    closes, witness = structures._closes_a_triple, structures._koszul_witness
+
+    def recording_closes(prefix, certificates):
+        out = closes(prefix, certificates)
+        if out:
+            dropped.append(prefix)
+        return out
+
+    def recording_witness(pos, signs, point):
+        out = witness(pos, signs, point)
+        leaves.append(out)
+        return out
+
+    monkeypatch.setattr(structures, "_closes_a_triple", recording_closes)
+    monkeypatch.setattr(structures, "_koszul_witness", recording_witness)
+    checked = 0
+    for ts in flags_up_to_rank4():
+        dropped.clear()
+        leaves.clear()
+        points = structures._chamber_points(ts)
+        assert leaves == [True] * len(points), ts.flag.label()
+        pos = [p.coords for p in ts.positive]
+        n = len(ts.flag.sigma_m)
+        for prefix in dropped:
+            rows = [tuple(Fraction(e * c) for c in p) for e, p in zip(prefix, pos)]
+            assert feasibility.solve_strict_rows(rows, n) is None, (ts.flag.label(), prefix)
+        checked += len(dropped)
+    assert checked == 6090
+
+
+def test_qk_feasibility_reads_a_one_sign_pass_it_is_given():
+    # classify hands each pair's one pass to the solve; the answer is the
+    # one the solve computes on its own
+    ts = full_ts("A3")
+    for j in enumerate_iacs(ts):
+        one = structures._one_sign(j.signs, ts)
+        assert qk_feasibility(j, ts, one=one) == qk_feasibility(j, ts), j.signs
 
 
 def test_chamber_points_are_the_plus_half_with_points_inside():
@@ -575,6 +620,22 @@ def test_normal_metric_unique_vacuous_and_forcing():
     for w in rep.witnesses:
         for tri, j in zip(w.chain.triples, w.forcing):
             assert classify_triple(j, tri, ts) is TripleClass.ZERO_THREE
+
+
+def test_normal_metric_unique_builds_one_forcing_structure_per_triple(monkeypatch):
+    # the chains of the 15 pairs of A3 full share their triples
+    built = []
+    real = structures._forcing_iacs
+
+    def counted(ts, t):
+        built.append(t)
+        return real(ts, t)
+
+    monkeypatch.setattr(structures, "_forcing_iacs", counted)
+    rep = normal_metric_unique(make_flag(rs_for("A3"), frozenset()))
+    used = {t for w in rep.witnesses for t in w.chain.triples}
+    assert len(built) == len(set(built)) and set(built) == used
+    assert sum(len(w.chain.triples) for w in rep.witnesses) > len(used)
 
 
 def test_normal_metric_unique_cap():

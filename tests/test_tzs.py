@@ -108,6 +108,9 @@ def test_triple_validation():
     assert t == ZeroSumTriple(((1, 0), (0, 1), (-1, -1)))
     assert hash(t) == hash(ZeroSumTriple(((1, 0), (0, 1), (-1, -1))))
     assert t.classes() == {(1, 1), (0, 1), (1, 0)}
+    # the classes are kept from construction, and are no field
+    assert t.classes() is t.classes()
+    assert repr(t) == "ZeroSumTriple(members=((-1, -1), (0, 1), (1, 0)))"
 
 
 def test_triple_members_canonically_sorted():
@@ -291,7 +294,7 @@ def test_chain_queries_share_one_enumeration_per_set():
     report = connectivity(s)
     chains = [chain_between(s, a, b) for a, b in itertools.combinations(s.class_reps(), 2)]
     assert zero_sum_triples.cache_info().misses == misses + 1
-    assert connectivity(s) == report
+    assert connectivity(s) is report  # one report per set, shared by its callers
     assert [chain_between(s, a, b) for a, b in itertools.combinations(s.class_reps(), 2)] == chains
 
 
