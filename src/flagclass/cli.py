@@ -33,14 +33,13 @@ from .structures import (
     IACS_CAP,
     TripleClass,
     _c_of,
-    _chamber_mask,
-    _closed_witness_mask,
+    _chamber_list,
+    _closed_witness_list,
     _integrable,
-    _integrable_mask,
-    _lowest_bit,
-    _nijenhuis_mask,
+    _integrable_list,
+    _nijenhuis_list,
     _one_sign,
-    _pairs_mask,
+    _pairs_list,
     _structure,
     enumerate_iacs,
     normal_metric_unique,
@@ -51,10 +50,10 @@ from .tzs import connectivity, make_functional_set
 
 SCHEMA = "flagclass/1"
 DEFAULT_IACS_CAP = 12
-# Largest `verify --iacs-cap`.  verify decides all 2^s structures of a flag
-# as bits of one int, 2^cap / 8 bytes per mask (4 MiB at 25), and builds no
-# structure list, so it is not held to IACS_CAP.
-VERIFY_IACS_CAP = 25
+# Largest `verify --iacs-cap`: the largest s up to RANK_CAP (E6 full).
+# verify lists only each route's integrable structures, at most one per
+# chamber, and builds no list of all 2^s, so it is not held to IACS_CAP.
+VERIFY_IACS_CAP = 36
 DEFAULT_VERIFY_RANK = 4
 # Largest `--max-rank` of `verify` and `sweep`.  Rank 6 is the largest the
 # acceptance suite runs Jacobi and t-root connectivity on.  At rank 7 `verify`
@@ -206,7 +205,7 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
         )
     entries = [{"signs": list(j.signs), **v} for j, v in zip(structures, half + half[::-1])]
     # Borel-Hirzebruch, as in verify: feasible == integrable
-    m = _integrable_mask(ts)
+    integrable = [n for n, entry in enumerate(entries) if entry["integrable"]]
     return {
         "schema": SCHEMA,
         "flag": flag_key(f.rs.lie_type, tuple(sorted(f.theta))),
@@ -214,7 +213,7 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
         "iacs": entries,
         "theorems": {
             "normal_metric_unique": normal_metric_unique(f, cap=iacs_cap).holds,
-            "ak_equals_k": _closed_witness_mask(ts) == m,
+            "ak_equals_k": _closed_witness_list(ts) == integrable,
             "tzs_connected": connectivity(make_functional_set(ts.t_roots)).connected,
         },
     }
@@ -434,28 +433,28 @@ def run_verify(
                 unique.skip()
                 continue
 
-            # each route decides every structure at once, bit n for structure n
-            integrable = _integrable_mask(ts)
-            disagree = 0
-            for route in (_pairs_mask(ts), _nijenhuis_mask(f, sc), _chamber_mask(ts)):
-                disagree |= route ^ integrable
+            # each route lists the structures it calls integrable, by index n
+            integrable = set(_integrable_list(ts))
+            disagree = set()
+            for route in (_pairs_list(ts), _nijenhuis_list(f, sc), _chamber_list(ts)):
+                disagree |= integrable.symmetric_difference(route)
             failure = None
             if disagree:
-                signs = _structure(_lowest_bit(disagree), s).signs
+                signs = _structure(min(disagree), s).signs
                 failure = f"{where}: integrability routes disagree at signs={signs}"
             fourway.cases(1 << s, failure)
             # Borel-Hirzebruch: every invariant complex structure carries an
             # invariant Kahler metric, so feasible == integrable
-            feasible = _closed_witness_mask(ts)
+            feasible = set(_closed_witness_list(ts))
             wrong = feasible ^ integrable
             failure = None
             if wrong:
-                n = _lowest_bit(wrong)
+                n = min(wrong)
                 failure = (
-                    f"{where}: closed metric feasible={bool(feasible >> n & 1)},"
-                    f" integrable={bool(integrable >> n & 1)} at signs={_structure(n, s).signs}"
+                    f"{where}: closed metric feasible={n in feasible},"
+                    f" integrable={n in integrable} at signs={_structure(n, s).signs}"
                 )
-            ak.cases((feasible | integrable).bit_count(), failure)
+            ak.cases(len(feasible | integrable), failure)
             if s >= 2:
                 try:
                     holds = normal_metric_unique(f, cap=iacs_cap).holds

@@ -151,7 +151,7 @@ def _signed_pairs(ts: TRootSystem):
     """(class index, sign) of d, e and d + e for each ordered pair with d + e in R_t.
 
     Built from t-root sums, never from the triples, so the pair route
-    (`_pairs_mask`) keeps data independent of `is_integrable`'s.
+    (`_pairs_list`) keeps data independent of `is_integrable`'s.
     """
     cls = {t.coords: ts.classify(t) for t in ts.t_roots}
     return tuple(
@@ -467,7 +467,9 @@ def _koszul_witness(pos, signs: tuple[int, ...], point: tuple[int, ...]) -> bool
     return all(j * sum(map(mul, p, point)) > 0 for j, p in zip(signs, pos))
 
 
-@lru_cache(maxsize=None)
+# one flag's points at a time: verify reads them twice per flag, and holding
+# every flag's adds about 60 MiB to the peak of verify up to rank 6
+@lru_cache(maxsize=1)
 def _chamber_points(ts: TRootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(signs, int point H) for each chamber on the + side of the first positive t-root.
 
@@ -522,43 +524,10 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
 
 
 # Every structure of a flag at once.  Structure n, in enumerate_iacs order,
-# gives class i the sign -1 iff bit s-1-i of n is set, so a set of
-# structures is a 2^s-bit int and each route below is one mask: bit n is set
-# iff the route calls structure n integrable.  Each route reads its own
-# table; what they share is the column code.
-
-
-@lru_cache(maxsize=1)
-def _full(s: int) -> int:
-    """The mask of all 2^s structures."""
-    return (1 << (1 << s)) - 1
-
-
-@lru_cache(maxsize=1)
-def _columns(s: int) -> tuple[int, ...]:
-    """Column i: the mask of the structures that give class i the sign -1.
-
-    It is 2^(s-1-i) clear bits then as many set ones, repeated, laid out as
-    a periodic byte pattern.
-    """
-    nbytes = max((1 << s) // 8, 1)
-    cols = []
-    for i in range(s):
-        run = 1 << (s - 1 - i)
-        if run >= 8:
-            unit = bytes(run // 8) + b"\xff" * (run // 8)
-        else:
-            unit = bytes((sum(1 << b for b in range(8) if b // run % 2),))
-        cols.append(int.from_bytes(unit * (nbytes // len(unit)), "little") & _full(s))
-    return tuple(cols)
-
-
-def _agree(s: int, member, other) -> int:
-    """The structures under which two signed members, (class, sign) each, take one sign."""
-    (i, a), (k, b) = member, other
-    cols = _columns(s)
-    x = cols[i] ^ cols[k]
-    return x ^ _full(s) if a == b else x
+# gives class i the sign -1 iff bit s-1-i of n is set.  Each route below
+# lists the n it calls integrable, ascending: an integrable structure is a
+# chamber, so the list is short where 2^s is not.  Each route reads its own
+# table; what they share is the search.
 
 
 def _structure(n: int, s: int) -> IACS:
@@ -566,41 +535,63 @@ def _structure(n: int, s: int) -> IACS:
     return IACS(tuple(-1 if n >> (s - 1 - i) & 1 else 1 for i in range(s)))
 
 
-def _mask(bits, s: int) -> int:
-    """The mask with the given bits set."""
-    out = bytearray(max((1 << s) // 8, 1))
-    for n in bits:
-        out[n >> 3] |= 1 << (n & 7)
-    return int.from_bytes(out, "little")
+def _index(signs: tuple[int, ...]) -> int:
+    """The n with _structure(n, len(signs)).signs == signs."""
+    return int("".join("1" if x < 0 else "0" for x in signs), 2)
 
 
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _avoiding(s: int, records) -> list[int]:
+    """The structures, ascending, under which no record is one-signed.
+
+    A record is three (class, sign) members, one-signed under j where the
+    three sign * j_class agree.  Sorted by class to (i, a), (m, b), (k, e),
+    it closes a prefix of j in `_closing_rows`'s form: (i, a, m, b) under
+    class k and sign e, and the same with every sign negated.  Here m may
+    equal k, and a class met twice is read twice, so a record holding a
+    class with both signs never closes.  Sign prefixes are searched depth
+    first in class order, + before -, and dropped once `_closes_a_triple`,
+    so the leaves come in enumeration order and the search costs about its
+    output.
+    """
+    closing = [{1: set(), -1: set()} for _ in range(s)]
+    for record in records:
+        (i, a), (m, b), (k, e) = sorted(record)
+        closing[k][e].add((i, a, m, b))
+        closing[k][-e].add((i, -a, m, -b))
+    found = []
+
+    def extend(prefix, n):
+        k = len(prefix)
+        if k == s:
+            found.append(n)
+            return
+        for sign, bit in ((1, 0), (-1, 1)):
+            signs = prefix + (sign,)
+            if not _closes_a_triple(signs, closing[k][sign]):
+                extend(signs, 2 * n + bit)
+
+    extend((), 0)
+    return found
 
 
-def _integrable_mask(ts: TRootSystem) -> int:
+def _integrable_list(ts: TRootSystem) -> list[int]:
     """is_integrable on every structure: no zero-sum triple is one-signed."""
-    s = len(ts.positive)
-    one_signed = 0
-    for a, b, c in _signed_triples(ts):
-        one_signed |= _agree(s, a, b) & _agree(s, a, c)
-    return _full(s) ^ one_signed
+    return _avoiding(len(ts.positive), _signed_triples(ts))
 
 
-def _pairs_mask(ts: TRootSystem) -> int:
+def _pairs_list(ts: TRootSystem) -> list[int]:
     """The pair route on every structure: no summing pair has e_d = e_e != e_{d+e}.
 
-    The condition is symmetric in d and e, so each unordered pair is read
-    once.  A member differs in sign from (t, st) where it agrees with (t, -st).
+    A member differs in sign from (t, st) where it agrees with (t, -st).  The
+    condition is symmetric in d and e, and both orders of a pair give
+    `_avoiding` one certificate.
     """
-    s = len(ts.positive)
-    failing = 0
-    for d, e, (t, st) in {(min(d, e), max(d, e), t) for d, e, t in _signed_pairs(ts)}:
-        failing |= _agree(s, d, e) & _agree(s, d, (t, -st))
-    return _full(s) ^ failing
+    return _avoiding(
+        len(ts.positive), [(d, e, (t, -st)) for d, e, (t, st) in _signed_pairs(ts)]
+    )
 
 
-def _nijenhuis_mask(f: FlagSpec, sc: StructureConstants) -> int:
+def _nijenhuis_list(f: FlagSpec, sc: StructureConstants) -> list[int]:
     """nijenhuis_oracle on every structure: no pair with n_{a,b} != 0 has e_a = e_b != e_{a+b}.
 
     Those are the pairs whose torsion factor e_a e_b + 1 - e_{a+b} (e_a + e_b)
@@ -608,49 +599,39 @@ def _nijenhuis_mask(f: FlagSpec, sc: StructureConstants) -> int:
     """
     if sc.rs is not f.rs:
         raise InvalidInputError("flag and constants were built from different root systems")
-    s = len(build_t_roots(f).positive)
-    failing = 0
-    for n, a, b, (t, st) in _nijenhuis_pairs(f, sc):
-        if not n.is_zero():
-            failing |= _agree(s, a, b) & _agree(s, a, (t, -st))
-    return _full(s) ^ failing
+    return _avoiding(
+        len(build_t_roots(f).positive),
+        [(a, b, (t, -st)) for n, a, b, (t, st) in _nijenhuis_pairs(f, sc) if not n.is_zero()],
+    )
 
 
-def _index(signs: tuple[int, ...]) -> int:
-    """The n with _structure(n, len(signs)).signs == signs."""
-    return int("".join("1" if x < 0 else "0" for x in signs), 2)
-
-
-def _mask_and_negations(half: list[int], s: int) -> int:
-    """The mask of the given structures and their negations: -(structure n) is (2^s - 1) ^ n."""
+def _and_negations(half: list[int], s: int) -> list[int]:
+    """The + side structures given, ascending, then their negations: -(structure n) is (2^s - 1) ^ n."""
     top = (1 << s) - 1
-    return _mask(half + [top ^ n for n in half], s)
+    return half + [top ^ n for n in reversed(half)]
 
 
-def _chamber_mask(ts: TRootSystem) -> int:
-    """The structures realized by a regular point.
-
-    Each chamber of _chamber_points gives two bits: its signs and their negation.
-    """
-    return _mask_and_negations(
+def _chamber_list(ts: TRootSystem) -> list[int]:
+    """The structures realized by a regular point: each chamber of _chamber_points and its negation."""
+    return _and_negations(
         [_index(signs) for signs, _ in _chamber_points(ts)], len(ts.positive)
     )
 
 
-def _closed_witness_mask(ts: TRootSystem) -> int:
+def _closed_witness_list(ts: TRootSystem) -> list[int]:
     """The structures given a closed metric by their chamber point, each one checked.
 
     For the chamber of j with its Koszul point H, lambda_k = j_k (pos_k . H)
     is positive, and the row of j on a triple is zero at lambda because the
     members sum to zero: the Borel-Hirzebruch metric, built in ints.  The
     chamber search checked positivity already; it is checked again here,
-    beside the closed rows, which the search never reads.  A bit is set
-    only once lambda is checked strictly positive and every closed row of j
-    zero at it.  The same lambda serves -j, whose rows are those of j
-    negated.
+    beside the closed rows, which the search never reads.  A structure is
+    listed only once lambda is checked strictly positive and every closed
+    row of j zero at it.  The same lambda serves -j, whose rows are those
+    of j negated.
 
     This is the closed-metric decision, with no solve beside it.  A
-    structure outside _integrable_mask has a one-signed triple, whose closed
+    structure outside _integrable_list has a one-signed triple, whose closed
     row has nonzero coefficients of that one sign (no two members are v and
     -v, or the third would be 0), so no positive metric zeroes it.  So the
     witnessed structures lie in the feasible ones, which lie in the
@@ -668,7 +649,7 @@ def _closed_witness_mask(ts: TRootSystem) -> int:
             for (i, a), (k, b), (m, c) in triples
         ):
             witnessed.append(_index(signs))
-    return _mask_and_negations(witnessed, len(pos))
+    return _and_negations(witnessed, len(pos))
 
 
 class PairWitness(_Frozen):

@@ -76,7 +76,7 @@ def test_paint_is_the_complement(capsys):
         # one over the hard cap, on flags small enough that a missed check fails fast
         ("classify", "--type", "A2", "--theta", "--iacs-cap", "21"),
         ("sweep", "--max-rank", "1", "--iacs-cap", "21"),
-        ("verify", "--max-rank", "1", "--iacs-cap", "26"),
+        ("verify", "--max-rank", "1", "--iacs-cap", "37"),
         ("verify", "--max-rank", "0"),
         ("verify", "--max-rank", "2", "--weyl-cap", "-1"),
         ("verify", "--max-rank", "2", "--weyl-cap", "0"),
@@ -93,14 +93,15 @@ def test_usage_errors_exit_one(capsys, argv):
 
 @pytest.mark.parametrize("command", ["classify", "sweep", "verify"])
 def test_iacs_cap_above_the_hard_cap_is_rejected_at_parse_time(capsys, tmp_path, command):
-    # verify decides a flag's structures as bits of one int, so its cap is
-    # higher than the one of the commands that list them
+    # verify lists only each route's integrable structures, never all 2^s,
+    # so its cap is the largest s up to the rank cap (E6 full), higher than
+    # the one of the commands that list every structure
     argv, cap = {
         "classify": (("classify", "--type", "A2", "--theta"), cli.IACS_CAP),
         "sweep": (("sweep", "--max-rank", "1", "--out", str(tmp_path / "sweep")), cli.IACS_CAP),
         "verify": (("verify", "--max-rank", "1"), cli.VERIFY_IACS_CAP),
     }[command]
-    assert (cli.IACS_CAP, cli.VERIFY_IACS_CAP) == (20, 25)
+    assert (cli.IACS_CAP, cli.VERIFY_IACS_CAP) == (20, 36)
     code, _, err = run_cli(capsys, *argv, "--iacs-cap", str(cap + 1))
     assert code == 1
     assert f"must be at most {cap}, got {cap + 1}" in err

@@ -203,7 +203,7 @@ def test_no_module_runs_the_strict_solver():
 
 
 def test_no_module_solves_for_a_closed_metric():
-    # A closed metric comes from a chamber point (_closed_witness_mask), so
+    # A closed metric comes from a chamber point (_closed_witness_list), so
     # a wrong point fails ak-equals-k instead of being patched over by a
     # solve.  closed_metric_feasibility stays public as the tests' oracle.
     package = Path(flagclass.__file__).parent
@@ -218,3 +218,35 @@ def test_no_module_solves_for_a_closed_metric():
             in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
         ]
     assert uses == []
+
+
+MASK_HELPERS = {"_full", "_columns", "_agree", "_mask", "_lowest_bit"}
+
+
+def test_no_module_decides_structures_as_bit_masks():
+    # Each integrability route lists its integrable structures, at most one
+    # per chamber, where a 2^s-bit mask would take 8 GiB at s = 36.  No
+    # module defines the mask helpers or a *_mask route, and run_verify
+    # builds no list of all 2^s structures and decides none of them alone.
+    package = Path(flagclass.__file__).parent
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        defined += [
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and (node.name in MASK_HELPERS or node.name.endswith("_mask"))
+        ]
+    assert defined == []
+    tree = ast.parse((package / "cli.py").read_text(), filename="cli.py")
+    (run_verify,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "run_verify"
+    ]
+    called = {
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for node in ast.walk(run_verify)
+        if isinstance(node, ast.Call)
+    }
+    assert called & {"enumerate_iacs", "is_integrable", "nijenhuis_oracle"} == set()

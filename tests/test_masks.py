@@ -1,12 +1,14 @@
-"""verify's bit-sliced routes: bit n of each mask decides structure n of enumerate_iacs.
+"""verify's route lists: each route lists the enumerate_iacs indices it calls integrable.
 
-Each mask is checked bit by bit against the per-structure function it
-replaces in `verify`, on every flag up to rank 4 that the structure list can
-hold, and the routes are checked against each other on F4 full, the flag
-the list cannot hold.
+Each list is checked against the per-structure function it replaces in
+`verify`, on every flag up to rank 4 that the structure list can hold, and
+the routes are checked against each other on F4 and E6 full, flags the
+structure list cannot hold.  The test-side mask oracle
+`closed_candidates_mask` stays as a reference.
 """
 import ast
 import itertools
+import random
 from pathlib import Path
 
 from flagclass import cli, structures
@@ -28,15 +30,19 @@ from oracles import closed_candidates_mask, pairs_integrable
 SRC = Path(__file__).resolve().parents[1] / "src" / "flagclass"
 
 
-def bits(mask, count):
-    return [bool(mask >> n & 1) for n in range(count)]
+def indices(flags):
+    return [n for n, ok in enumerate(flags) if ok]
+
+
+def as_mask(listed):
+    return sum(1 << n for n in listed)
 
 
 def single_signed(row):
     return len({c > 0 for c in row if c}) == 1
 
 
-def test_masks_match_the_per_structure_functions_up_to_rank_4():
+def test_route_lists_match_the_per_structure_functions_up_to_rank_4():
     seen = set()
     for t in types_up_to(4):
         rs = build_root_system(t)
@@ -51,50 +57,72 @@ def test_masks_match_the_per_structure_functions_up_to_rank_4():
             where = f.label()
             iacs = enumerate_iacs(ts, cap=s)
             assert len(iacs) == 1 << s
-            # the column code: structure n gives class i the sign -1 iff bit s-1-i of n is set
-            for i, column in enumerate(structures._columns(s)):
-                assert bits(column, 1 << s) == [j.signs[i] == -1 for j in iacs], (where, i)
             assert [structures._structure(n, s) for n in range(1 << s)] == list(iacs)
+            assert [structures._index(j.signs) for j in iacs] == list(range(1 << s))
 
             chambers = {c.signs for c in t_chambers(ts)}
             triples = t_zero_sum_triples(ts)
-            no_single_signed_row = [
+            # only an integrable structure's closed rows have no single-signed row
+            no_single_signed_row = indices(
                 not any(single_signed(triple_sum_row(j, tr, ts)) for tr in triples)
                 for j in iacs
-            ]
+            )
+            assert closed_candidates_mask(ts) == as_mask(no_single_signed_row), where
             expected = {
-                "triples": [is_integrable(j, ts) for j in iacs],
-                "pairs": [pairs_integrable(j, ts) for j in iacs],
-                "nijenhuis": [nijenhuis_oracle(f, sc, j) for j in iacs],
-                "chambers": [j.signs in chambers for j in iacs],
-                # only an integrable structure's closed rows have no single-signed row
+                "triples": indices(is_integrable(j, ts) for j in iacs),
+                "pairs": indices(pairs_integrable(j, ts) for j in iacs),
+                "nijenhuis": indices(nijenhuis_oracle(f, sc, j) for j in iacs),
+                "chambers": indices(j.signs in chambers for j in iacs),
                 "closed": no_single_signed_row,
-                "candidates": no_single_signed_row,
-                "witness": [closed_metric_feasibility(j, ts).feasible for j in iacs],
+                "witness": indices(closed_metric_feasibility(j, ts).feasible for j in iacs),
             }
-            integrable = structures._integrable_mask(ts)
-            masks = {
+            integrable = structures._integrable_list(ts)
+            routes = {
                 "triples": integrable,
-                "pairs": structures._pairs_mask(ts),
-                "nijenhuis": structures._nijenhuis_mask(f, sc),
-                "chambers": structures._chamber_mask(ts),
+                "pairs": structures._pairs_list(ts),
+                "nijenhuis": structures._nijenhuis_list(f, sc),
+                "chambers": structures._chamber_list(ts),
                 "closed": integrable,
-                "candidates": closed_candidates_mask(ts),
-                "witness": structures._closed_witness_mask(ts),
+                "witness": structures._closed_witness_list(ts),
             }
-            for route, mask in masks.items():
-                assert mask >> (1 << s) == 0, (where, route)
-                assert bits(mask, 1 << s) == expected[route], (where, route)
+            for route, listed in routes.items():
+                assert listed == expected[route], (where, route)
     assert seen == set(range(1, 11)) | {12}
 
 
-def test_mask_sets_the_chosen_bits_and_lowest_bit_reads_the_first():
-    for s in (1, 2, 3, 4, 9):
-        for chosen in ([], [0], [(1 << s) - 1], list(range(0, 1 << s, 3))):
-            mask = structures._mask(chosen, s)
-            assert mask == sum(1 << n for n in chosen)
-            if chosen:
-                assert structures._lowest_bit(mask) == chosen[0]
+def brute_avoiding(s, records):
+    return [
+        n
+        for n, signs in enumerate(itertools.product((1, -1), repeat=s))
+        if not any(len({sgn * signs[c] for c, sgn in r}) == 1 for r in records)
+    ]
+
+
+def test_avoiding_lists_ascending_enumeration_order_against_brute_force():
+    v, w = (0, 1), (1, -1)
+    cases = [
+        (1, []),
+        (2, [(v, v, w)]),  # 2v + w = 0: class 0 met twice
+        (3, [((2, 1), (0, -1), (2, 1))]),  # the repeated class is the highest
+        (3, [((1, 1), (0, 1), (2, -1)), ((2, 1), (1, -1), (0, 1))]),
+        (2, [((0, 1), (0, -1), (1, 1))]),  # a class with both signs: never one-signed
+        (2, [((1, -1),) * 3]),  # one class alone: one-signed under every j
+    ]
+    rng = random.Random(27)
+    for _ in range(60):
+        s = rng.randint(1, 6)
+        member = lambda: (rng.randrange(s), rng.choice((1, -1)))
+        cases.append(
+            (s, [(member(), member(), member()) for _ in range(rng.randint(0, 2 * s))])
+        )
+    for s, records in cases:
+        listed = structures._avoiding(s, records)
+        assert listed == brute_avoiding(s, records), (s, records)
+        assert listed == sorted(set(listed))
+    # v, v, w is one-signed where j_0 = -j_1, so (+, +) and (-, -) avoid it
+    assert structures._avoiding(2, [(v, v, w)]) == [0, 3]
+    assert structures._avoiding(2, [((0, 1), (0, -1), (1, 1))]) == [0, 1, 2, 3]
+    assert structures._avoiding(2, [((1, -1),) * 3]) == []
 
 
 def f4_full():
@@ -102,17 +130,27 @@ def f4_full():
     return make_flag(rs, ()), compute_structure_constants(rs)
 
 
-def test_routes_agree_on_f4_full_with_one_bit_per_weyl_element():
+def test_routes_agree_on_f4_full_with_one_structure_per_weyl_element():
     f, sc = f4_full()
     ts = build_t_roots(f)
     assert len(ts.positive) == 24
-    integrable = structures._integrable_mask(ts)
-    assert integrable.bit_count() == 1152  # |W(F4)|: the chambers of a full flag
-    assert structures._pairs_mask(ts) == integrable
-    assert structures._nijenhuis_mask(f, sc) == integrable
-    assert structures._chamber_mask(ts) == integrable
-    assert closed_candidates_mask(ts) == integrable
-    assert structures._closed_witness_mask(ts) == integrable
+    integrable = structures._integrable_list(ts)
+    assert len(integrable) == 1152  # |W(F4)|: the chambers of a full flag
+    assert structures._pairs_list(ts) == integrable
+    assert structures._nijenhuis_list(f, sc) == integrable
+    assert structures._chamber_list(ts) == integrable
+    assert closed_candidates_mask(ts) == as_mask(integrable)
+    assert structures._closed_witness_list(ts) == integrable
+
+
+def test_routes_agree_on_e6_full_with_one_structure_per_weyl_element():
+    # s = 36: a 2^s-bit mask would take 8 GiB, the lists hold |W(E6)| entries
+    ts = build_t_roots(make_flag(build_root_system(LieType.parse("E6")), ()))
+    assert len(ts.positive) == 36
+    integrable = structures._integrable_list(ts)
+    assert len(integrable) == 51840
+    assert structures._pairs_list(ts) == integrable
+    assert structures._chamber_list(ts) == integrable
 
 
 def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
@@ -153,10 +191,10 @@ def test_verify_decodes_a_flipped_triple_sign_on_f4_full(capsys, monkeypatch):
 
 
 def test_run_verify_builds_no_structure_list():
-    # verify decides every structure through the masks; a per-structure loop
-    # over these would put the 2^s-entry list back on its path.  classify and
-    # verify read one ak-equals-k decision, the chamber witness, and make no
-    # closed-metric solve.
+    # verify decides every structure through the route lists, which hold
+    # only the integrable ones.  classify and verify read one ak-equals-k
+    # decision, the chamber witness, and make no closed-metric solve.
+    # test_import_graph checks that run_verify loops over no structure list.
     source = (SRC / "cli.py").read_text()
     tree = ast.parse(source, filename="cli.py")
     calls = {}
@@ -167,10 +205,9 @@ def test_run_verify_builds_no_structure_list():
                 for node in ast.walk(fn)
                 if isinstance(node, ast.Call)
             }
-    assert "_integrable_mask" in calls["run_verify"]
-    assert calls["run_verify"] & {"enumerate_iacs", "is_integrable", "nijenhuis_oracle"} == set()
-    assert all("_closed_witness_mask" in called for called in calls.values())
+    assert "_integrable_list" in calls["run_verify"]
+    assert all("_closed_witness_list" in called for called in calls.values())
     assert "closed_metric_feasibility" not in source
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert named & {"_mask_and_negations", "_mask", "t_chambers"} == set()
+    assert named & {"_and_negations", "t_chambers"} == set()
