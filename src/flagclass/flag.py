@@ -167,6 +167,8 @@ def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
     simple roots along the path stays a root at each step, and the final sum
     restricts to the sum of the two endpoint t-roots.
     """
+    if type(d1) is not int or type(d2) is not int:
+        raise InvalidInputError(f"component indices must be ints, got {d1!r} and {d2!r}")
     comps = complement_components(f)
     if len(comps) < 2:
         raise NotConnectedError("the black part of the diagram has a single component")

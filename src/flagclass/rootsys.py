@@ -320,8 +320,8 @@ def root_string(rs: RootSystem, a: Root, b: Root) -> tuple[int, int]:
 
 def simple_reflection(rs: RootSystem, i: int, b: Root) -> Root:
     """Image of root b under the reflection in the i-th simple root (1-based)."""
-    if not 1 <= i <= rs.rank:
-        raise RootArgumentError(f"simple root index {i} out of range 1..{rs.rank}")
+    if type(i) is not int or not 1 <= i <= rs.rank:
+        raise RootArgumentError(f"simple root index {i!r} is no int in 1..{rs.rank}")
     if b not in rs.root_set:
         raise RootArgumentError(f"{b} is not a root")
     alpha = rs.simple_roots[i - 1]

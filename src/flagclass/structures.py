@@ -17,7 +17,7 @@ import itertools
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 
 from .errors import (
     CapExceededError,
@@ -417,28 +417,20 @@ def classify_structure(
 
 
 def _closing_rows(pos: list[tuple[int, ...]]):
-    """Per class k and sign e: the (i, a, m, b), i <= m < k, with a pos_i + b pos_m + e pos_k = 0.
+    """Every zero-sum triple of the signed rows +-pos_k, as three (class, sign) members.
 
-    Read off the rows' own coordinates, one pair of signed rows at a time.
-    m = i stands for 2 a pos_i + e pos_k = 0, and also records a pos_i +
-    2 e pos_k = 0.  A prefix whose signs give a and b to classes i and m,
-    and e to class k, holds three rows that sum to zero, Farkas weights of
-    1 or 2, so no point is strictly positive on all of them.
+    Read off the rows' own coordinates, one pair of signed rows at a time; a
+    pair may repeat a row, for 2 a pos_i + e pos_k = 0.  A prefix whose signs
+    give the three members their own signs holds three rows that sum to
+    zero, Farkas weights of 1 or 2, so no point is strictly positive on all
+    of them.
     """
-    signed = [(i, a, tuple(a * c for c in p)) for i, p in enumerate(pos) for a in (1, -1)]
-    where = {r: (i, a) for i, a, r in signed}
-    closing = [{1: [], -1: []} for _ in pos]
-    for x, (i, a, p) in enumerate(signed):
-        minus_p = tuple(-c for c in p)
-        for m, b, q in signed[x:]:
-            k, e = where.get(tuple(map(sub, minus_p, q)), (0, 0))
-            if k > m:
-                closing[k][e].append((i, a, m, b))
-        if not any(c % 2 for c in p):
-            k, e = where.get(tuple(-c // 2 for c in p), (0, 0))
-            if k > i:
-                closing[k][e].append((i, a, i, a))
-    return closing
+    signed = {tuple(a * c for c in p): (k, a) for k, p in enumerate(pos) for a in (1, -1)}
+    return [
+        (signed[p], signed[q], signed[r])
+        for p, q in itertools.combinations_with_replacement(signed, 2)
+        if (r := tuple(-x - y for x, y in zip(p, q))) in signed
+    ]
 
 
 def _closes_a_triple(prefix: tuple[int, ...], certificates) -> bool:
@@ -473,54 +465,42 @@ def _koszul_witness(pos, signs: tuple[int, ...], point: tuple[int, ...]) -> bool
 def _chamber_points(ts: TRootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(signs, int point H) for each chamber on the + side of the first positive t-root.
 
-    No elimination runs.  Sign prefixes are searched depth first in class
-    order, and a prefix is dropped as soon as its newest row and earlier rows
-    of the prefix sum to zero (`_closing_rows`): that certifies it empty.  A
-    leaf J left standing counts as a chamber only once its Koszul point is
-    checked inside it: H pairs each unpainted simple root with v_J, the sum
-    of the J-positive roots of R_M, in ints (`_koszul_columns`, summed with
-    the signs of J and updated one class at a time down the search), so
-    lambda_k = j_k (pos_k . H) must be strictly positive.  For an integrable
-    J, v_J lies in J's chamber (Koszul; Borel-Hirzebruch 1958), and the
-    leaves left standing are the integrable structures.  A leaf without a
-    witness is no chamber here, and the four-way check then reports it.
-    Only the + side is searched: if H realizes some signs, -H realizes their
-    negation.  The chambers come in enumeration order.
+    No elimination runs.  The candidates are the + half of `_avoiding` on
+    `_closing_rows`: a sign prefix is dropped as soon as its newest row and
+    one or two earlier rows sum to zero, which certifies it empty.  A leaf J
+    left standing counts as a chamber only once its Koszul point is checked
+    inside it: H pairs each unpainted simple root with v_J, the sum of the
+    J-positive roots of R_M, in ints (the columns of `_koszul_columns`
+    summed with the signs of J at the leaf), so lambda_k = j_k (pos_k . H)
+    must be strictly positive.  For an integrable J, v_J lies in J's chamber
+    (Koszul; Borel-Hirzebruch 1958), and the leaves left standing are the
+    integrable structures.  A leaf without a witness is no chamber here, and
+    the four-way check then reports it.  Only the + side is kept: if H
+    realizes some signs, -H realizes their negation.  The chambers come in
+    enumeration order.
     """
     pos = [t.coords for t in ts.positive]
-    closing = _closing_rows(pos)
-    signed_columns = [
-        {e: tuple(e * c for c in column) for e in (1, -1)} for column in _koszul_columns(ts)
-    ]
-    half = []
-
-    def extend(signs, point):
-        k = len(signs)
-        if k == len(pos):
-            if _koszul_witness(pos, signs, point):
-                half.append((signs, point))
-            return
-        for sign in (1, -1):
-            prefix = signs + (sign,)
-            if not _closes_a_triple(prefix, closing[k][sign]):
-                extend(prefix, tuple(map(add, point, signed_columns[k][sign])))
-
-    extend((1,), signed_columns[0][1])
-    return tuple(half)
+    s = len(pos)
+    columns = _koszul_columns(ts)
+    listed = _avoiding(s, _closing_rows(pos))
+    points = []
+    for n in listed[: len(listed) // 2]:
+        signs = _structure(n, s).signs
+        point = tuple(sum(map(mul, signs, coordinate)) for coordinate in zip(*columns))
+        if _koszul_witness(pos, signs, point):
+            points.append((signs, point))
+    return tuple(points)
 
 
 def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
     """Sign vectors realizable by a regular point: every t-root keeps a strict sign.
 
-    The + side of the first positive t-root is `_chamber_points`, each
-    chamber found with a checked point inside it and no solve; the - side is
-    that half negated and reversed, which puts it in enumeration order.
+    These are the structures of `_chamber_list`, in enumeration order: each
+    chamber of `_chamber_points`, found with a checked point inside it and
+    no solve, and then its negation.
     """
-    half = [signs for signs, _ in _chamber_points(ts)]
-    return tuple(
-        [IACS(signs) for signs in half]
-        + [IACS(tuple(-s for s in signs)) for signs in reversed(half)]
-    )
+    s = len(ts.positive)
+    return tuple(_structure(n, s) for n in _chamber_list(ts))
 
 
 # Every structure of a flag at once.  Structure n, in enumerate_iacs order,
@@ -545,33 +525,36 @@ def _avoiding(s: int, records) -> list[int]:
 
     A record is three (class, sign) members, one-signed under j where the
     three sign * j_class agree.  Sorted by class to (i, a), (m, b), (k, e),
-    it closes a prefix of j in `_closing_rows`'s form: (i, a, m, b) under
-    class k and sign e, and the same with every sign negated.  Here m may
-    equal k, and a class met twice is read twice, so a record holding a
-    class with both signs never closes.  Sign prefixes are searched depth
-    first in class order, + before -, and dropped once `_closes_a_triple`,
-    so the leaves come in enumeration order and the search costs about its
-    output.
+    it becomes the certificate (i, a, m, b) under class k and sign e, filed
+    with its negation (i, -a, m, -b) under sign -e.  Here m may equal k, and
+    a class met twice is read twice, so a record holding a class with both
+    signs never closes.  Sign prefixes are searched depth first in class
+    order, + before -, and dropped once `_closes_a_triple`, so the leaves
+    come in enumeration order and the search costs about its output.
+    Only the prefixes that give class 0 the sign + are searched: the filed
+    certificates are closed under negation, so the - half is the + half
+    negated (`_and_negations`).
     """
     closing = [{1: set(), -1: set()} for _ in range(s)]
     for record in records:
         (i, a), (m, b), (k, e) = sorted(record)
         closing[k][e].add((i, a, m, b))
         closing[k][-e].add((i, -a, m, -b))
-    found = []
+    half = []
 
     def extend(prefix, n):
         k = len(prefix)
         if k == s:
-            found.append(n)
+            half.append(n)
             return
         for sign, bit in ((1, 0), (-1, 1)):
             signs = prefix + (sign,)
             if not _closes_a_triple(signs, closing[k][sign]):
                 extend(signs, 2 * n + bit)
 
-    extend((), 0)
-    return found
+    if not _closes_a_triple((1,), closing[0][1]):
+        extend((1,), 0)
+    return _and_negations(half, s)
 
 
 def _integrable_list(ts: TRootSystem) -> list[int]:
@@ -689,17 +672,23 @@ def _forcing_iacs(ts: TRootSystem, t: ZeroSumTriple) -> IACS:
 def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport:
     """Check that only constant metrics stay G1 across every structure.
 
-    Brute force: sweep structures in enumeration order and merge the classes
-    of each all-equal-sign triple; the surviving equality patterns are exactly
-    the constant-per-component ones, so uniqueness means a single component.
-    The sweep stops as soon as everything is merged.  A constructive witness
-    chain is emitted for every pair of positive t-roots.
+    A G1 metric is constant on each all-equal-sign triple of each structure,
+    so sweep structures and merge the classes of each such triple; the
+    surviving equality patterns are exactly the constant-per-component ones,
+    so uniqueness means a single component.  Every triple is all-equal-sign
+    under its own forcing structure (`_forcing_iacs`, which checks it), so
+    one forcing structure per triple, in t_zero_sum_triples order, merges
+    what all 2^s structures would.  The sweep stops as soon as everything is
+    merged.  A constructive witness chain is emitted for every pair of
+    positive t-roots.
     """
     ts = build_t_roots(f)
     s = len(ts.positive)
     if s > cap:
         raise CapExceededError(f"sweeping 2^{s} structures exceeds the cap 2^{cap}")
 
+    # the sweep and the chains share triples: one forcing structure per distinct triple
+    forcing_of = lru_cache(maxsize=None)(lambda t: _forcing_iacs(ts, t))
     parent = list(range(s))
 
     def find(x):
@@ -709,15 +698,16 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
         return x
 
     components = s
-    for signs in itertools.product((1, -1), repeat=s):
+    for t in t_zero_sum_triples(ts):
+        if components == 1:
+            break
+        signs = forcing_of(t).signs
         for signed in itertools.compress(_signed_triples(ts), _one_sign(signs, ts)):
             roots = {find(idx) for idx, _ in signed}
             anchor = roots.pop()
             for other in roots:
                 parent[other] = anchor
                 components -= 1
-        if components == 1:
-            break
     holds = components == 1
 
     fs = make_functional_set(t.coords for t in ts.t_roots)
@@ -729,8 +719,6 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
     if not holds:
         return VerificationReport(False, ())
 
-    # chains share triples: one forcing structure per distinct triple
-    forcing_of = lru_cache(maxsize=None)(lambda t: _forcing_iacs(ts, t))
     witnesses = []
     for i in range(s):
         for k in range(i + 1, s):

@@ -1,5 +1,6 @@
 """Test-side oracles: routes the library no longer takes, and exact linear algebra."""
 from fractions import Fraction
+from itertools import product
 
 from flagclass.structures import _signed_pairs, _signed_triples
 
@@ -17,6 +18,24 @@ def pairs_integrable(j, ts) -> bool:
             for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
         )
     )
+
+
+def uniqueness_sweep(ts) -> bool:
+    """The 2^s uniqueness sweep: do the one-signed triples of all structures merge every class?
+
+    Structures run in enumeration order, the classes of each one-signed
+    triple are merged, and the sweep stops once one class is left.
+    """
+    s = len(ts.positive)
+    component = list(range(s))
+    for signs in product((1, -1), repeat=s):
+        if len(set(component)) == 1:
+            break
+        for signed in _signed_triples(ts):
+            if len({sgn * signs[idx] for idx, sgn in signed}) == 1:
+                merged = {component[idx] for idx, _ in signed}
+                component = [min(merged) if c in merged else c for c in component]
+    return len(set(component)) == 1
 
 
 def _sign_columns(s: int) -> list[tuple[int, int]]:

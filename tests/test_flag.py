@@ -300,3 +300,7 @@ def test_bridge_argument_validation():
         bridge_root(f, 0, 2)
     with pytest.raises(InvalidInputError):
         bridge_root(f, 1, 7)
+    # True == 1 and 1.0 == 1, but neither names a component
+    for d1, d2 in ((True, 2), (1.0, 2.0)):
+        with pytest.raises(InvalidInputError):
+            bridge_root(f, d1, d2)

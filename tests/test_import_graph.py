@@ -250,3 +250,49 @@ def test_no_module_decides_structures_as_bit_masks():
         if isinstance(node, ast.Call)
     }
     assert called & {"enumerate_iacs", "is_integrable", "nijenhuis_oracle"} == set()
+
+
+def callers(is_target) -> set[tuple[str, str]]:
+    """(module, top-level function or method) for every call in `src` that is_target accepts.
+
+    A call inside a nested function counts for the function that encloses
+    it at the top; a call outside every function counts for "<module>".
+    """
+    package = Path(flagclass.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        owners = [(n, n.name) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        owners += [
+            (m, f"{n.name}.{m.name}")
+            for n in tree.body if isinstance(n, ast.ClassDef)
+            for m in n.body if isinstance(m, ast.FunctionDef)
+        ]
+        owned = {id(c): name for node, name in owners for c in ast.walk(node)}
+        found |= {
+            (path.name, owned.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_target(node.func)
+        }
+    return found
+
+
+def test_one_sign_prefix_search_and_no_other_2s_loop():
+    # Every route that lists structures (the triple, pair, Nijenhuis and
+    # chamber routes) goes through the one prefix search, and only the two
+    # enumerations that hand out every structure or metric walk all of them.
+    def closes_a_triple(func):
+        return "_closes_a_triple" in (getattr(func, "id", None), getattr(func, "attr", None))
+
+    def itertools_product(func):
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "product"
+            and getattr(func.value, "id", None) == "itertools"
+        ) or getattr(func, "id", None) == "product"
+
+    assert callers(closes_a_triple) == {("structures.py", "_avoiding")}
+    assert callers(itertools_product) == {
+        ("structures.py", "enumerate_iacs"),
+        ("structures.py", "metric_grid"),
+    }

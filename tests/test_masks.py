@@ -125,6 +125,33 @@ def test_avoiding_lists_ascending_enumeration_order_against_brute_force():
     assert structures._avoiding(2, [((1, -1),) * 3]) == []
 
 
+def test_avoiding_searches_only_the_plus_half_of_class_0(monkeypatch):
+    # the filed certificates are closed under negation, so the - half of
+    # class 0 is the + half negated and is never searched
+    seen = []
+    closes = structures._closes_a_triple
+
+    def recording(prefix, certificates):
+        seen.append(prefix)
+        return closes(prefix, certificates)
+
+    monkeypatch.setattr(structures, "_closes_a_triple", recording)
+    v, w = (0, 1), (1, -1)
+    rng = random.Random(28)
+    cases = [(1, []), (2, [(v, v, w)]), (2, [((0, 1),) * 3]), (3, [((2, 1), (0, -1), (2, 1))])]
+    for _ in range(40):
+        s = rng.randint(1, 6)
+        member = lambda: (rng.randrange(s), rng.choice((1, -1)))
+        cases.append(
+            (s, [(member(), member(), member()) for _ in range(rng.randint(0, 2 * s))])
+        )
+    for s, records in cases:
+        seen.clear()
+        listed = structures._avoiding(s, records)
+        assert listed == brute_avoiding(s, records), (s, records)
+        assert seen and all(prefix[0] == 1 for prefix in seen), (s, records)
+
+
 def f4_full():
     rs = build_root_system(LieType.parse("F4"))
     return make_flag(rs, ()), compute_structure_constants(rs)

@@ -235,6 +235,10 @@ def test_typed_errors():
         simple_reflection(rs, 3, a1)
     with pytest.raises(RootArgumentError):
         simple_reflection(rs, 1, Root((2, 0)))
+    # True == 1 and 1.0 == 1, but neither names a simple root
+    for index in (True, 1.0):
+        with pytest.raises(RootArgumentError):
+            simple_reflection(rs, index, a1)
     with pytest.raises(DimensionMismatchError):
         inner_product(rs, Root((1, 0, 0)), a1)
 

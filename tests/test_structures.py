@@ -41,7 +41,7 @@ from flagclass.structures import (
     triple_sum_row,
 )
 from flagclass.tzs import ZeroSumTriple
-from oracles import fraction_rank
+from oracles import fraction_rank, uniqueness_sweep
 
 DESK_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
 _SYSTEMS = {}
@@ -623,7 +623,8 @@ def test_normal_metric_unique_vacuous_and_forcing():
 
 
 def test_normal_metric_unique_builds_one_forcing_structure_per_triple(monkeypatch):
-    # the chains of the 15 pairs of A3 full share their triples
+    # the sweep and the chains of the 15 pairs of A3 full share their
+    # triples; the sweep also forces triples that lie on no chain
     built = []
     real = structures._forcing_iacs
 
@@ -634,8 +635,35 @@ def test_normal_metric_unique_builds_one_forcing_structure_per_triple(monkeypatc
     monkeypatch.setattr(structures, "_forcing_iacs", counted)
     rep = normal_metric_unique(make_flag(rs_for("A3"), frozenset()))
     used = {t for w in rep.witnesses for t in w.chain.triples}
-    assert len(built) == len(set(built)) and set(built) == used
+    assert len(built) == len(set(built)) and set(built) >= used
     assert sum(len(w.chain.triples) for w in rep.witnesses) > len(used)
+
+
+def test_normal_metric_unique_sweeps_at_most_one_structure_per_triple(monkeypatch):
+    # one forcing structure per zero-sum triple, each one _one_sign pass,
+    # decides what the 2^s sweep decides, F4 full (s = 24) included
+    passes = []
+    real = structures._one_sign
+
+    def counted(signs, ts):
+        passes.append(signs)
+        return real(signs, ts)
+
+    monkeypatch.setattr(structures, "_one_sign", counted)
+    checked = 0
+    for t in types_up_to(4):
+        for theta in proper_subsets(t.rank):
+            f = make_flag(rs_for(str(t)), theta)
+            ts = build_t_roots(f)
+            s = len(ts.positive)
+            passes.clear()
+            holds = normal_metric_unique(f, cap=s).holds
+            assert len(passes) <= len(t_zero_sum_triples(ts)), f.label()
+            if t.rank <= 3:
+                assert holds == uniqueness_sweep(ts), f.label()
+                checked += 1
+            assert holds, f.label()
+    assert checked == 31
 
 
 def test_normal_metric_unique_cap():
