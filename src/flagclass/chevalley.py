@@ -19,12 +19,26 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import add
 
-from .errors import CartanBracketError, InvariantViolationError, RootArgumentError, _Frozen
-from .rootsys import Root, RootSystem, inner_product, root_string
+from .errors import (
+    CartanBracketError,
+    InvalidInputError,
+    InvariantViolationError,
+    RootArgumentError,
+    _Frozen,
+)
+from .rootsys import Root, RootSystem
 
 Q = Fraction
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction when it is an int (not a bool) or a Fraction; no float or string."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise InvalidInputError(f"ExtScalar components must be ints or Fractions, got {x!r}")
 
 
 class ExtScalar(_Frozen):
@@ -37,14 +51,14 @@ class ExtScalar(_Frozen):
     d: Q
 
     def __init__(self, a: Q, b: Q, c: Q, d: Q) -> None:
-        object.__setattr__(self, "a", a if isinstance(a, Fraction) else Fraction(a))
-        object.__setattr__(self, "b", b if isinstance(b, Fraction) else Fraction(b))
-        object.__setattr__(self, "c", c if isinstance(c, Fraction) else Fraction(c))
-        object.__setattr__(self, "d", d if isinstance(d, Fraction) else Fraction(d))
+        object.__setattr__(self, "a", a if type(a) is Fraction else _exact(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else _exact(b))
+        object.__setattr__(self, "c", c if type(c) is Fraction else _exact(c))
+        object.__setattr__(self, "d", d if type(d) is Fraction else _exact(d))
 
     @classmethod
     def from_rational(cls, r) -> "ExtScalar":
-        return cls(Q(r), Q(0), Q(0), Q(0))
+        return cls(r, 0, 0, 0)
 
     @classmethod
     def sqrt_rational(cls, r) -> "ExtScalar":
@@ -54,7 +68,7 @@ class ExtScalar(_Frozen):
         one s in (1, 2, 3, 6).  With r = n/den in lowest terms that means
         n * den = s * k^2, and then sqrt(r) = (k/den) * sqrt(s).
         """
-        r = Q(r)
+        r = _exact(r)
         if r <= 0:
             raise ValueError(f"need a positive rational, got {r}")
         m = r.numerator * r.denominator
@@ -70,18 +84,23 @@ class ExtScalar(_Frozen):
         return not (self.a or self.b or self.c or self.d)
 
     def __add__(self, o: "ExtScalar") -> "ExtScalar":
+        if type(o) is not ExtScalar:
+            return NotImplemented
         return ExtScalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     def __sub__(self, o: "ExtScalar") -> "ExtScalar":
+        if type(o) is not ExtScalar:
+            return NotImplemented
         return ExtScalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
 
     def __neg__(self) -> "ExtScalar":
         return ExtScalar(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            q = Q(o)
-            return ExtScalar(self.a * q, self.b * q, self.c * q, self.d * q)
+        if type(o) is int or type(o) is Fraction:
+            return ExtScalar(self.a * o, self.b * o, self.c * o, self.d * o)
+        if type(o) is not ExtScalar:
+            return NotImplemented
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d
         return ExtScalar(
@@ -111,59 +130,61 @@ class StructureConstants(_Frozen, eq=False):
     table: dict[tuple[Root, Root], ExtScalar]
 
 
-def _length(rs: RootSystem, r: Root) -> Q:
-    return inner_product(rs, r, r)
-
-
-def _n_pos(table, order, x: Root, y: Root) -> Q:
-    """Constant for two positive roots, from the pair stored in root order."""
-    if order[x] < order[y]:
-        return table[(x, y)]
-    return -table[(y, x)]
-
-
-def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[Root, Root], Q]:
-    """Integer constants on ordered pairs of positive roots, extraspecial signs positive.
+def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[int, int], int]:
+    """Integer constants on ordered pairs of positive roots, by position in
+    `all_roots`, extraspecial signs positive.
 
     Non-extraspecial special pairs are resolved through the Jacobi identity
     on (X_{-a}, X_xi, X_eta), whose mixed-sign constants reduce, via
     invariance of the form, to positive pairs of strictly smaller height sum.
+    Lengths are the M (r, r) of `rs.root_table`, whose scale M cancels in
+    every ratio, and string counts are walks down its sum table.
     """
-    pos = rs.positive_roots
-    posset = set(pos)
-    order = {r: i for i, r in enumerate(pos)}
-    table: dict[tuple[Root, Root], Q] = {}
+    _, plus, length, _ = rs.root_table
+    n = len(plus)
+    neg = [row.index(n) for row in plus]
+    # all_roots is sorted by height, so the positive roots are its upper half
+    first = n // 2
+    pos = range(first, n)
+    # every positive pair in root order, filed under its sum
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for x in pos:
+        for y in range(x + 1, n):
+            s = plus[x][y]
+            if s is not None:
+                pairs.setdefault(s, []).append((x, y))
+    table: dict[tuple[int, int], int] = {}
+
+    def n_pos(x: int, y: int) -> int:
+        # constant for two positive roots, from the pair stored in root order
+        return table[(x, y)] if x < y else -table[(y, x)]
 
     for gamma in pos:
-        pairs = []
-        for x in pos:
-            y = gamma - x
-            if y in posset and order[x] < order[y]:
-                pairs.append((x, y))
-        if not pairs:
+        if gamma not in pairs:
             continue
-        pairs.sort(key=lambda xy: order[xy[0]])
-        alpha, beta = pairs[0]
-        table[(alpha, beta)] = Q(root_string(rs, alpha, beta)[0] + 1)
-        # N(gamma, -alpha) = -(beta,beta)/(gamma,gamma) * N(alpha, beta)
-        denom = -(_length(rs, beta) / _length(rs, gamma)) * table[(alpha, beta)]
-        for xi, eta in pairs[1:]:
-            acc = Q(0)
-            d1 = xi - alpha
-            if d1 in posset:
-                # N(-alpha, xi) = -(d1,d1)/(xi,xi) * N(d1, alpha)
-                acc += (
-                    -(_length(rs, d1) / _length(rs, xi)) * _n_pos(table, order, d1, alpha)
-                ) * _n_pos(table, order, d1, eta)
-            d2 = eta - alpha
-            if d2 in posset:
-                # N(eta, -alpha) = +(d2,d2)/(eta,eta) * N(d2, alpha)
-                acc += (
-                    (_length(rs, d2) / _length(rs, eta)) * _n_pos(table, order, d2, alpha)
-                ) * _n_pos(table, order, d2, xi)
-            val = -acc / denom
-            if val == 0 or val.denominator != 1:
-                raise InvariantViolationError((xi, eta, val))
+        (alpha, beta), *rest = pairs[gamma]
+        # p + 1, p the length of the alpha-string below beta
+        n_ab, down = 1, plus[beta][neg[alpha]]
+        while down is not None:
+            n_ab, down = n_ab + 1, plus[down][neg[alpha]]
+        table[(alpha, beta)] = n_ab
+        for xi, eta in rest:
+            # N(gamma, -alpha) = -(beta,beta)/(gamma,gamma) * N(alpha, beta), and
+            # N(-alpha, xi) = -(d1,d1)/(xi,xi) * N(d1, alpha) for d1 = xi - alpha,
+            # N(eta, -alpha) = +(d2,d2)/(eta,eta) * N(d2, alpha) for d2 = eta - alpha;
+            # acc is (xi,xi)(eta,eta) times their Jacobi sum
+            acc = 0
+            d1 = plus[xi][neg[alpha]]
+            if d1 is not None and d1 >= first:
+                acc -= length[d1] * length[eta] * n_pos(d1, alpha) * n_pos(d1, eta)
+            d2 = plus[eta][neg[alpha]]
+            if d2 is not None and d2 >= first:
+                acc += length[d2] * length[xi] * n_pos(d2, alpha) * n_pos(d2, xi)
+            num, den = acc * length[gamma], length[xi] * length[eta] * length[beta] * n_ab
+            val, rem = divmod(num, den)
+            if val == 0 or rem:
+                roots = rs.all_roots
+                raise InvariantViolationError((roots[xi], roots[eta], Q(num, den)))
             table[(xi, eta)] = val
     return table
 
@@ -173,15 +194,29 @@ def compute_structure_constants(rs: RootSystem) -> StructureConstants:
     """Full Weyl-normalized constant table for every bracketable root pair.
 
     Each positive pair (x, y) with x + y = s fills the six ordered pairs of
-    the zero-sum triple (x, y, -s) and the six of its negation.
+    the zero-sum triple (x, y, -s) and the six of its negation.  The factor
+    sqrt((x,x)(y,y) / (2(s,s))) and the constant are one ExtScalar and its
+    negation per (lengths, constant), shared by every pair that has them.
     """
+    _, plus, length, _ = rs.root_table
+    m = rs.int_gram[0]
+    roots = rs.all_roots
+    neg = [roots[row.index(len(plus))] for row in plus]
+    signed: dict[tuple[int, int, int, int], tuple[ExtScalar, ExtScalar]] = {}
     table: dict[tuple[Root, Root], ExtScalar] = {}
     for (x, y), chev in _chevalley_positive_table(rs).items():
-        s = x + y
-        n = ExtScalar.sqrt_rational(_length(rs, x) * _length(rs, y) / (2 * _length(rs, s))) * chev
-        for a, b in ((x, y), (y, -s), (-s, x)):
-            table[(a, b)], table[(b, a)] = n, -n
-            table[(-a, -b)], table[(-b, -a)] = -n, n
+        s = plus[x][y]
+        key = (length[x], length[y], length[s], chev)
+        if key not in signed:
+            # the M-scaled lengths give (x,x)(y,y) / (2(s,s)) = lx ly / (2 M ls)
+            n = ExtScalar.sqrt_rational(Q(key[0] * key[1], 2 * m * key[2])) * chev
+            signed[key] = (n, -n)
+        n, minus_n = signed[key]
+        a, b, c = roots[x], roots[y], neg[s]
+        na, nb, nc = neg[x], neg[y], roots[s]
+        for u, v, nu, nv in ((a, b, na, nb), (b, c, nb, nc), (c, a, nc, na)):
+            table[(u, v)], table[(v, u)] = n, minus_n
+            table[(nu, nv)], table[(nv, nu)] = minus_n, n
     return StructureConstants(rs, table)
 
 
@@ -226,28 +261,32 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
     constants, by L.
     """
     rs = sc.rs
-    # label roots by their place in coordinate order, so a sorted label
-    # triple is the triple sorted by coordinates; the zero vector comes last
-    ordered = sorted(rs.all_roots, key=lambda r: r.coords)
-    zero = len(ordered)
-    label = {r.coords: i for i, r in enumerate(ordered)}
-    label[(0,) * rs.rank] = zero
-    plus = [[label.get(tuple(map(add, a.coords, b.coords))) for b in ordered] for a in ordered]
-    visit = [label[r.coords] for r in rs.all_roots]
-    lcm = math.lcm(*(q.denominator for v in sc.table.values() for q in (v.a, v.b, v.c, v.d)))
-    terms = {
-        (label[a.coords], label[b.coords]): tuple(
+    # roots are labelled by their position in all_roots; the zero vector is
+    # len(all_roots), the sentinel of the sum table
+    label, plus, _, _ = rs.root_table
+    roots = rs.all_roots
+    zero = len(roots)
+    coords = [r.coords for r in roots]
+    # compute_structure_constants shares one ExtScalar among all entries of
+    # equal value, so each distinct object is split once; sc.table keeps
+    # every one alive, so their ids stay distinct
+    values = {id(v): v for v in sc.table.values()}
+    lcm = math.lcm(*(q.denominator for v in values.values() for q in (v.a, v.b, v.c, v.d)))
+    split = {
+        key: tuple(
             (r, q.numerator * (lcm // q.denominator))
             for r, q in zip(_RADICALS, (v.a, v.b, v.c, v.d))
             if q
         )
-        for (a, b), v in sc.table.items()
+        for key, v in values.items()
     }
+    # terms[x][y]: the split entry of the pair (x, y), None off the table
+    terms: list[list] = [[None] * zero for _ in range(zero)]
+    for (a, b), v in sc.table.items():
+        terms[label[a.coords]][label[b.coords]] = split[id(v)]
     m, gram = rs.int_gram
     # each root times M * Gram, so M (z, x) is one short dot product
-    gram_rows = [
-        [sum(c * g for c, g in zip(r.coords, col) if c) for col in zip(*gram)] for r in ordered
-    ]
+    gram_rows = [[sum(c * g for c, g in zip(r, col) if c) for col in zip(*gram)] for r in coords]
     product = {
         (r1, r2): (r1 * r2 // math.gcd(r1, r2) ** 2, math.gcd(r1, r2) * m)
         for r1 in _RADICALS
@@ -258,11 +297,11 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
         # adds L^2 M times the coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
         s = plus[x][y]
         if s == zero:
-            p = sum(g * c for g, c in zip(gram_rows[z], ordered[x].coords) if c)
+            p = sum(g * c for g, c in zip(gram_rows[z], coords[x]) if c)
             acc[1] = acc.get(1, 0) + lcm * lcm * p
             return
-        t1 = terms.get((x, y))
-        t2 = terms.get((s, z))
+        t1 = terms[x][y]
+        t2 = None if s is None else terms[s][z]
         if t1 is None or t2 is None:
             return
         for r1, q1 in t1:
@@ -270,30 +309,36 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
                 r, k = product[(r1, r2)]
                 acc[r] = acc.get(r, 0) + k * q1 * q2
 
-    partners: dict[int, list[int]] = {zero: visit}
-    seen: set[tuple[int, ...]] = set()
-    for i, a in enumerate(visit):
-        for b in visit[i + 1:]:
+    # A triple is reached from each of its bracketable pairs, all with the
+    # same sum a + b + c; it is checked at the first of them in visiting
+    # order, so a pair (a, b) skips c when (a, c), or (c, a) or (c, b) for
+    # c < a, is a bracketable pair visited before it.
+    partners: dict[int, list[int]] = {zero: range(zero)}
+    for a in range(zero):
+        for b in range(a + 1, zero):
             s = plus[a][b]
             if s is None:
                 continue
             if s not in partners:
-                partners[s] = [c for c in visit if plus[s][c] is not None]
+                partners[s] = [c for c, t in enumerate(plus[s]) if t is not None]
             for c in partners[s]:
-                if c == a or c == b:
+                if c < b:
+                    if c > a:
+                        if plus[a][c] is not None:
+                            continue
+                    elif c == a or plus[c][a] is not None or plus[c][b] is not None:
+                        continue
+                elif c == b:
                     continue
-                key = tuple(sorted((a, b, c)))
-                if key in seen:
-                    continue
-                seen.add(key)
-                x, y, z = key
+                # read the triple sorted by coordinates
+                x, y, z = sorted((a, b, c), key=coords.__getitem__)
                 if s != zero and plus[s][c] == zero:
                     # residue is a Cartan vector: n_{x,y} z + n_{y,z} x + n_{z,x} y
                     resid: dict[int, list[int]] = {}
-                    for pair, w in (((x, y), z), ((y, z), x), ((z, x), y)):
-                        for r, q in terms[pair]:
+                    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                        for r, q in terms[u][v]:
                             vec = resid.setdefault(r, [0] * rs.rank)
-                            for j, wj in enumerate(ordered[w].coords):
+                            for j, wj in enumerate(coords[w]):
                                 vec[j] += q * wj
                     failed = any(any(vec) for vec in resid.values())
                 else:
@@ -303,5 +348,5 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
                     add_term(acc, z, x, y)
                     failed = any(acc.values())
                 if failed:
-                    return JacobiReport(False, (ordered[x], ordered[y], ordered[z]))
+                    return JacobiReport(False, (roots[x], roots[y], roots[z]))
     return JacobiReport(True, None)

@@ -4,7 +4,10 @@ Roots are integer coordinate vectors over the simple basis in Bourbaki
 numbering.  Inner products come from the Gram matrix of the simple roots,
 normalized so that long roots have squared length 2, and held also as the
 int matrix M * gram, M its least common denominator: a pairing is one int dot
-product, which `inner_product` divides by M once; never a float.
+product, which `inner_product` divides by M once; never a float.  The
+Chevalley and Weyl layers read `RootSystem.root_table` instead: the sums,
+lengths and simple reflections of all roots as positions and ints, built
+once per system.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     DimensionMismatchError,
@@ -192,7 +195,11 @@ def _gram_matrix(t: LieType) -> tuple[tuple[Q, ...], ...]:
 
 
 class RootSystem(_Frozen, eq=False):
-    """An irreducible root system; immutable after construction."""
+    """An irreducible root system; immutable after construction.
+
+    `build_root_system` sorts all_roots by height, then coordinates, so the
+    negative roots fill its lower half and the positive roots its upper half.
+    """
 
     lie_type: LieType
     simple_roots: tuple[Root, ...]
@@ -216,6 +223,32 @@ class RootSystem(_Frozen, eq=False):
         """(M, M * gram): the least positive M that makes the Gram matrix integral."""
         m = math.lcm(*(g.denominator for row in self.gram for g in row))
         return m, tuple(tuple(g.numerator * (m // g.denominator) for g in row) for row in self.gram)
+
+    @cached_property
+    def root_table(self) -> tuple[dict, tuple, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(label, plus, length, reflect) on positions in `all_roots`, built in ints once.
+
+        label maps coords to position; plus[i][j] is the position of root i +
+        root j, len(all_roots) when the sum is 0 and None when it is no root;
+        length[i] is M (r, r), M the `int_gram` scale; reflect[k][j] is the
+        position of s_{k+1}(root j) = b - <b, alpha_{k+1}> alpha_{k+1}.
+        """
+        coords = [r.coords for r in self.all_roots]
+        label = {c: i for i, c in enumerate(coords)}
+        sums = {**label, (0,) * self.rank: len(coords)}
+        plus = tuple(tuple(sums.get(tuple(map(add, a, b))) for b in coords) for a in coords)
+        gram = self.int_gram[1]
+        # pair[j][k] = M (root j, alpha_k): the Gram matrix is symmetric
+        pair = [tuple(sum(map(mul, c, row)) for row in gram) for c in coords]
+        length = tuple(sum(map(mul, c, p)) for c, p in zip(coords, pair))
+        reflect = tuple(
+            tuple(
+                label[c[:k] + (c[k] - 2 * p[k] // gram[k][k],) + c[k + 1:]]
+                for c, p in zip(coords, pair)
+            )
+            for k in range(self.rank)
+        )
+        return label, plus, length, reflect
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:

@@ -14,9 +14,12 @@ point of use, rather than assumed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
-from operator import itemgetter
+from functools import cached_property
+from itertools import compress
+from operator import itemgetter, or_
 
 from .errors import (
     CapExceededError,
@@ -27,7 +30,7 @@ from .errors import (
     _Frozen,
 )
 from .flag import FlagSpec, build_t_roots
-from .rootsys import LieType, Root, RootSystem, inner_product, simple_reflection
+from .rootsys import LieType, Root, RootSystem, inner_product
 from .structures import IACS, InvariantMetric, _check_lengths
 
 WEYL_CAP = 10**6
@@ -108,6 +111,25 @@ class WeylGroup(_Frozen, eq=False):
     elements: tuple[WeylElement, ...]
     generators: tuple[WeylElement, ...]
 
+    @cached_property
+    def _simple_masks(self) -> dict[int, dict[int, int]]:
+        """masks[a][r]: bit order - 1 - k set when element k sends the simple
+        root at position a to the root at position r, built from this group's
+        own elements.  A position fits in one byte: no system has more than
+        240 roots (E8)."""
+        perms = [e.perm for e in self.elements]
+        masks = {}
+        for alpha in self.rs.simple_roots:
+            a = self.rs.index[alpha]
+            column = bytes(map(itemgetter(a), perms))
+            masks[a] = {r: int(column.translate(_DIGITS[r]), 2) for r in set(column)}
+        return masks
+
+    @cached_property
+    def _place(self) -> dict[tuple[int, ...], int]:
+        """Each element's permutation -> its place in `elements`."""
+        return {e.perm: k for k, e in enumerate(self.elements)}
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -127,11 +149,10 @@ def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
         raise CapExceededError(
             f"Weyl group of {rs.lie_type} has order {projected}, over the cap of {cap}"
         )
-    generators = tuple(
-        WeylElement(tuple(rs.index[simple_reflection(rs, i, b)] for b in rs.all_roots))
-        for i in range(1, rs.rank + 1)
-    )
-    elements = [WeylElement(p) for p in _closure(len(rs.all_roots), generators)]
+    generators = tuple(WeylElement(perm) for perm in rs.root_table[3])
+    # composites of checked generators are permutations: no check per element
+    closure = _closure(rs, generators, range(1, rs.rank + 1), projected)
+    elements = [_element(perm) for perm in closure]
     if len(elements) != projected:
         raise InvariantViolationError(
             f"generated {len(elements)} elements of {rs.lie_type}, closed form says {projected}"
@@ -139,48 +160,93 @@ def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
     return WeylGroup(rs, tuple(elements), generators)
 
 
-def _closure(n: int, gens) -> list[tuple[int, ...]]:
-    """Permutations of range(n) generated by gens, by word length, then by
-    permutation; the sweep composes bare tuples: w after s is itemgetter(*s.perm)(w)."""
-    steps = [itemgetter(*s.perm) for s in gens]
+def _element(perm: tuple[int, ...]) -> WeylElement:
+    """A WeylElement on a tuple known to be a permutation, without WeylElement's check."""
+    e = object.__new__(WeylElement)
+    object.__setattr__(e, "perm", perm)
+    return e
+
+
+def _closure(rs: RootSystem, generators, indices, limit: int) -> list[tuple[int, ...]]:
+    """Permutations generated by the simple reflections generators[i - 1], i in
+    indices, by word length, then by permutation.
+
+    w s_i is one longer than w exactly when w(alpha_i) is a positive root, so
+    each level is the images of the one before under their ascents and meets
+    no earlier level.  The sweep composes bare tuples: w after s is
+    itemgetter(*s.perm)(w).  More than limit permutations means the
+    generators are no simple reflections, an InvariantViolationError.
+    """
+    n = len(rs.all_roots)
+    # all_roots is sorted by height: the positive roots are its upper half
+    half = n // 2
+    steps = [
+        (rs.index[rs.simple_roots[i - 1]], itemgetter(*generators[i - 1].perm)) for i in indices
+    ]
     out = frontier = [tuple(range(n))]
-    seen = set(out)
     while frontier:
-        frontier = sorted({img for w in frontier for step in steps if (img := step(w)) not in seen})
-        seen.update(frontier)
+        frontier = sorted({step(w) for w in frontier for a, step in steps if w[a] >= half})
         out.extend(frontier)
+        if len(out) > limit:
+            raise InvariantViolationError(f"generators of {rs.lie_type} give over {limit} elements")
     return out
 
 
 def _a_theta_test(f: FlagSpec):
-    """Positions of Delta_Theta, and the membership test for A_Theta on permutations:
-    w fixes R_Theta = R ∩ span(Delta_Theta) setwise iff w(Delta_Theta) ⊆ R_Theta,
-    as w is linear and a bijection of R that maps R_Theta into itself fixes it."""
+    """Positions of Delta_Theta and of R_Theta, and the membership test for A_Theta
+    on permutations: w fixes R_Theta = R ∩ span(Delta_Theta) setwise iff
+    w(Delta_Theta) ⊆ R_Theta, as w is linear and a bijection of R that maps
+    R_Theta into itself fixes it."""
     index = f.rs.index
     simple = tuple(index[f.rs.simple_roots[i - 1]] for i in sorted(f.theta))
     theta = frozenset(index[r] for r in f.r_theta)
-    return simple, lambda perm: theta.issuperset(map(perm.__getitem__, simple))
+    return simple, theta, lambda perm: theta.issuperset(map(perm.__getitem__, simple))
+
+
+# byte r -> b"1", every other byte -> b"0": one element's digit in a mask
+_DIGITS = [b"0" * r + b"1" + b"0" * (255 - r) for r in range(256)]
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _stabilizer_masks(w: WeylGroup, f: FlagSpec) -> tuple[int, int]:
+    """The masks of A_Theta and N_Theta over w.elements: bit order - 1 - k is
+    element k.  A_Theta is the AND over the simple roots a of Delta_Theta of the
+    OR over r in R_Theta of the elements with w(a) = r; N_Theta is the same with
+    Delta_Theta in place of R_Theta."""
+    masks = w._simple_masks
+    simple, theta, _ = _a_theta_test(f)
+    a_mask = n_mask = (1 << len(w.elements)) - 1
+    for a in simple:
+        row = masks[a]
+        a_mask &= functools.reduce(or_, (row.get(r, 0) for r in theta), 0)
+        n_mask &= functools.reduce(or_, (row.get(r, 0) for r in simple), 0)
+    return a_mask, n_mask
 
 
 def a_theta(w: WeylGroup, f: FlagSpec) -> tuple[WeylElement, ...]:
     """Elements fixing the painted subsystem setwise, in group order.
 
-    Checked against Howlett's A_Theta = W_Theta ⋊ N_Theta (J. London Math. Soc.
-    21, 1980): W_Theta, from Theta's reflections by generate_weyl's closure, lies
-    inside, and N_Theta, the kept w with w(Delta_Theta) = Delta_Theta, fills the count."""
+    Read off the masks of `_stabilizer_masks`, which come from the elements
+    of w itself, and checked against Howlett's A_Theta = W_Theta ⋊ N_Theta
+    (J. London Math. Soc. 21, 1980): W_Theta, from Theta's reflections by
+    generate_weyl's closure, lies inside, and N_Theta, the kept w with
+    w(Delta_Theta) = Delta_Theta, fills the count."""
     if w.rs is not f.rs:
         raise InvalidInputError("group and flag were built from different root systems")
-    simple, member = _a_theta_test(f)
-    kept = tuple(e for e in w.elements if member(e.perm))
-    perms = {e.perm for e in kept}
-    w_theta = _closure(len(f.rs.all_roots), [w.generators[i - 1] for i in sorted(f.theta)])
-    inside = perms.issuperset(w_theta)
-    n_theta = sum(1 for p in perms if {p[i] for i in simple} == set(simple))
-    if not inside or len(kept) != len(w_theta) * n_theta:
+    a_mask, n_mask = _stabilizer_masks(w, f)
+    order = len(w.elements)
+    place = w._place
+    w_theta = _closure(f.rs, w.generators, sorted(f.theta), order)
+    inside = all(
+        (k := place.get(p)) is not None and a_mask >> (order - 1 - k) & 1 for p in w_theta
+    )
+    kept_count, n_theta = a_mask.bit_count(), n_mask.bit_count()
+    if not inside or kept_count != len(w_theta) * n_theta:
         raise InvariantViolationError(
-            f"kept {len(kept)}, |W_Theta| = {len(w_theta)} (inside: {inside}), |N_Theta| = {n_theta}"
+            f"kept {kept_count}, |W_Theta| = {len(w_theta)} (inside: {inside}),"
+            f" |N_Theta| = {n_theta}"
         )
-    return kept
+    return tuple(compress(w.elements, format(a_mask, f"0{order}b").encode().translate(_BITS)))
 
 
 def act_on_structure(
@@ -197,7 +263,7 @@ def act_on_structure(
     ts = build_t_roots(f)
     if len(omega.perm) != len(f.rs.all_roots):
         raise DimensionMismatchError("element and flag live on different root systems")
-    _, member = _a_theta_test(f)
+    _, _, member = _a_theta_test(f)
     if not member(omega.perm):
         raise NotInSubgroupError("element does not fix the painted subsystem")
     _check_lengths(ts, j.signs, g.lambdas)

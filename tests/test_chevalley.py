@@ -1,6 +1,7 @@
 """Structure constant identities, checked against string-count oracles."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,15 @@ from flagclass.chevalley import (
     compute_structure_constants,
     verify_jacobi,
 )
-from flagclass.errors import CartanBracketError, RootArgumentError
-from flagclass.rootsys import LieType, Root, build_root_system, inner_product, root_string
+from flagclass.errors import CartanBracketError, InvalidInputError, RootArgumentError
+from flagclass.rootsys import (
+    LieType,
+    Root,
+    build_root_system,
+    inner_product,
+    root_string,
+    types_up_to,
+)
 
 Q = Fraction
 
@@ -53,6 +61,50 @@ class TestExtScalar:
         assert 2 * x == ext(a=2, b=2)
         assert (x - x).is_zero()
         assert x * Q(1, 2) == ext(a=Q(1, 2), b=Q(1, 2))
+
+    def test_float_component_is_refused(self):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968
+        with pytest.raises(InvalidInputError):
+            ExtScalar(0.1, 0, 0, 0)
+        with pytest.raises(InvalidInputError):
+            ExtScalar(0, 0, 0, 0.5)
+        with pytest.raises(InvalidInputError):
+            ExtScalar.from_rational(0.5)
+
+    def test_bool_component_is_refused(self):
+        with pytest.raises(InvalidInputError):
+            ExtScalar(True, 0, 0, 0)
+        with pytest.raises(InvalidInputError):
+            ExtScalar(0, False, 0, 0)
+
+    def test_sqrt_rational_takes_only_exact_input(self):
+        for bad in (2.0, "9/4", True):
+            with pytest.raises(InvalidInputError):
+                ExtScalar.sqrt_rational(bad)
+        assert ExtScalar.sqrt_rational(2) == ext(b=1)
+
+    def test_product_with_a_float_is_a_type_error(self):
+        x = ext(a=1)
+        assert x.__mul__(0.5) is NotImplemented
+        assert x.__mul__(True) is NotImplemented
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            0.5 * x
+        # ints and Fractions still scale, from either side
+        assert x * 3 == 3 * x == ext(a=3)
+        assert Q(1, 2) * x == ext(a=Q(1, 2))
+
+    def test_sum_with_a_number_is_a_type_error(self):
+        # the field's elements add only to each other, not to a bare number
+        x = ext(a=1)
+        for other in (1, Q(1, 2), 0.5):
+            assert x.__add__(other) is NotImplemented
+            assert x.__sub__(other) is NotImplemented
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                other - x
 
 
 def sq(x: ExtScalar) -> ExtScalar:
@@ -281,3 +333,42 @@ def test_table_covers_exactly_bracketable_pairs():
             if (a + b) in rs.root_set
         }
         assert set(sc.table) == expected, t
+
+
+# sha256 of each type's constant table, items in iteration order: the coords of
+# both keys and the four ExtScalar components.  Recorded from the construction
+# on Root objects, root_string and inner_product, so the int table must give
+# the same entries in the same order.
+TABLE_DIGESTS = {
+    "A1": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "A2": "52348d3bde3551da514c80bf4b0348bc94ed0299c685a1a1c474df88a200d897",
+    "B2": "d5c380b73ca09352a713ec85f230a39b28e4011b4ce5f10f89b9e2fbab5d46d9",
+    "G2": "db678f2589786356d3fdf5b158b3ee6150dbdfcdbb1df9afbb5e612cd5f55f42",
+    "A3": "41c70640c5ede76c5d02fc243507f60237180c8ad33ef1d71c1c60ccdc6ec379",
+    "B3": "bf6faeaafb782748ae23a186e6be1003b5de9e911165cff4bd14708c92280338",
+    "C3": "1df2e723b8a1f1467436b3fdb538ae06b368975e0ca4de6dbbfc77cbe1c758f0",
+    "A4": "5d1ce0c5b9128321e1d96dfe1b53f8ef6764a368483d578d8a3f045b0c27f81a",
+    "B4": "33cb672392d1204529cd1fb5648a8ce2e773e9812610c53ea438c81e49a425af",
+    "C4": "3dfc980904b7b53779b7face51324a24f6f8440295af7ad8785fc95eefa2fe4b",
+    "D4": "0fea1c478aaffced666ea05a15e41bc22343237b02961f9218aa4b77a92c35f5",
+    "F4": "27289c0c31158315239bf014cbf8b16c94cb68287e9f06f7d250707522add54d",
+    "E6": "20bd1aa465b59b1bc6bab29245dfe707a5c81f29800472e0f5ee3a85d592b7c0",
+}
+
+
+def table_digest(table) -> str:
+    h = hashlib.sha256()
+    for (a, b), v in table.items():
+        row = (a.coords, b.coords, str(v.a), str(v.b), str(v.c), str(v.d))
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_digests_cover_every_type_to_rank_4_and_e6():
+    assert list(TABLE_DIGESTS) == [str(t) for t in types_up_to(4)] + ["E6"]
+
+
+@pytest.mark.parametrize("name", TABLE_DIGESTS)
+def test_constant_table_is_pinned(name):
+    table = compute_structure_constants(build_root_system(LieType.parse(name))).table
+    assert table_digest(table) == TABLE_DIGESTS[name]

@@ -296,3 +296,51 @@ def test_one_sign_prefix_search_and_no_other_2s_loop():
         ("structures.py", "enumerate_iacs"),
         ("structures.py", "metric_grid"),
     }
+
+
+ROOT_HELPERS = {"simple_reflection", "inner_product", "root_string", "cartan_pairing"}
+
+
+def reached_calls(path: Path, entry: str) -> set[str]:
+    """Names called by the function `entry` of a module, or by any function or
+    method of the same module that it calls or whose attribute it reads."""
+    tree = ast.parse(path.read_text(), filename=path.name)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    methods = {
+        m.name: m
+        for n in tree.body if isinstance(n, ast.ClassDef)
+        for m in n.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+    }
+    todo, done, called = [functions[entry]], set(), set()
+    while todo:
+        fn = todo.pop()
+        if fn.name in done:
+            continue
+        done.add(fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            if isinstance(node, ast.Name) and node.id in functions:
+                todo.append(functions[node.id])
+            if isinstance(node, ast.Attribute) and node.attr in methods:
+                todo.append(methods[node.attr])
+    return called
+
+
+@pytest.mark.parametrize(
+    "module, entry",
+    [
+        ("chevalley.py", "compute_structure_constants"),
+        ("chevalley.py", "verify_jacobi"),
+        ("weyl.py", "generate_weyl"),
+        ("weyl.py", "a_theta"),
+    ],
+)
+def test_lie_stages_read_the_root_table(module, entry):
+    # lengths, string counts, sums and reflections come from RootSystem.root_table,
+    # built once per system in ints, so no Lie stage redoes the per-root helpers;
+    # those stay public as the tests' oracles
+    path = Path(flagclass.__file__).with_name(module)
+    called = reached_calls(path, entry)
+    assert called, entry
+    assert called & ROOT_HELPERS == set()

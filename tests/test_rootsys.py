@@ -20,6 +20,7 @@ from flagclass.rootsys import (
     inner_product,
     root_string,
     simple_reflection,
+    types_up_to,
 )
 
 Q = Fraction
@@ -248,3 +249,28 @@ def test_build_is_deterministic_and_cached():
     rs2 = build_root_system(LieType("D", 4))
     assert rs1 is rs2
     assert rs1.all_roots == build_root_system(LieType("D", 4)).all_roots
+
+
+@pytest.mark.parametrize("t", types_up_to(6), ids=str)
+def test_root_table_matches_root_arithmetic(t):
+    """The int table that the Lie layers read agrees with the public helpers:
+    labels with positions, sums with Root addition (the sentinel len(all_roots)
+    for 0, None off the roots), lengths with M (r, r), and each reflection
+    permutation with b -> simple_reflection(rs, i, b)."""
+    rs = build_root_system(t)
+    label, plus, length, reflect = rs.root_table
+    roots = rs.all_roots
+    m = rs.int_gram[0]
+    zero = Root((0,) * t.rank)
+    assert label == {r.coords: i for i, r in enumerate(roots)}
+    assert length == tuple(inner_product(rs, r, r) * m for r in roots)
+    assert plus == tuple(
+        tuple(len(roots) if a + b == zero else rs.index.get(a + b) for b in roots)
+        for a in roots
+    )
+    assert reflect == tuple(
+        tuple(rs.index[simple_reflection(rs, i, b)] for b in roots)
+        for i in range(1, t.rank + 1)
+    )
+    # the table is built once per system
+    assert rs.root_table is rs.root_table

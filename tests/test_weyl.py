@@ -31,6 +31,8 @@ from flagclass.structures import (
 from flagclass.weyl import (
     WeylElement,
     WeylGroup,
+    _a_theta_test,
+    _stabilizer_masks,
     a_theta,
     act_on_structure,
     generate_weyl,
@@ -183,6 +185,19 @@ def test_a_theta_a3_example():
         if {e.apply(rs, b) for b in f.r_theta} == set(f.r_theta)
     )
     assert sub == brute
+
+
+@pytest.mark.parametrize("t", [str(t) for t in types_up_to(4)])
+def test_a_theta_masks_match_brute_force(t):
+    # F4 is among the types up to rank 4
+    w = group_for(t)
+    for theta in proper_subsets(w.rs.rank):
+        f = make_flag(w.rs, theta)
+        simple, _, member = _a_theta_test(f)
+        assert a_theta(w, f) == tuple(e for e in w.elements if member(e.perm))
+        _, n_mask = _stabilizer_masks(w, f)
+        n_theta = sum(1 for e in w.elements if {e.perm[i] for i in simple} == set(simple))
+        assert n_mask.bit_count() == n_theta, theta
 
 
 def test_a_theta_is_closed_under_composition():
