@@ -40,7 +40,7 @@ from .structures import (
     _nijenhuis_list,
     _one_sign,
     _pairs_list,
-    _structure,
+    _signs,
     enumerate_iacs,
     normal_metric_unique,
     qk_feasibility,
@@ -187,11 +187,12 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
     structures = enumerate_iacs(ts, cap=iacs_cap)
     # the list reversed is the list negated.  -j has the QK rows of j negated,
     # with the same answer and sample, and the one-signed triples of j: build
-    # each pair's entry once, from one _one_sign pass
+    # each pair's entry once: one _one_sign pass gives its integrability, C(j)
+    # and triple classes, and one solve its QK answer
     half = []
     for j in structures[: len(structures) // 2]:
         one = _one_sign(j.signs, ts)
-        qk = qk_feasibility(j, ts, one=one)
+        qk = qk_feasibility(j, ts)
         half.append(
             {
                 "integrable": _integrable(one),
@@ -212,7 +213,7 @@ def classify_payload(f: FlagSpec, iacs_cap: int) -> dict:
         "s": len(ts.positive),
         "iacs": entries,
         "theorems": {
-            "normal_metric_unique": normal_metric_unique(f, cap=iacs_cap).holds,
+            "normal_metric_unique": normal_metric_unique(f).holds,
             "ak_equals_k": _closed_witness_list(ts) == integrable,
             "tzs_connected": connectivity(make_functional_set(ts.t_roots)).connected,
         },
@@ -440,7 +441,7 @@ def run_verify(
                 disagree |= integrable.symmetric_difference(route)
             failure = None
             if disagree:
-                signs = _structure(min(disagree), s).signs
+                signs = _signs(min(disagree), s)
                 failure = f"{where}: integrability routes disagree at signs={signs}"
             fourway.cases(1 << s, failure)
             # Borel-Hirzebruch: every invariant complex structure carries an
@@ -452,12 +453,12 @@ def run_verify(
                 n = min(wrong)
                 failure = (
                     f"{where}: closed metric feasible={n in feasible},"
-                    f" integrable={n in integrable} at signs={_structure(n, s).signs}"
+                    f" integrable={n in integrable} at signs={_signs(n, s)}"
                 )
             ak.cases(len(feasible | integrable), failure)
             if s >= 2:
                 try:
-                    holds = normal_metric_unique(f, cap=iacs_cap).holds
+                    holds = normal_metric_unique(f).holds
                 except InvariantViolationError as e:
                     unique.case(False, f"{where}: {e}")
                 else:

@@ -33,7 +33,7 @@ class CartanBracketError(RootArgumentError):
 
 
 class NotAFlagManifoldError(InvalidInputError):
-    """Painting every node leaves no flag manifold."""
+    """Theta covering every node, none painted, leaves no flag manifold."""
 
 
 class NotConnectedError(FlagclassError):
@@ -41,7 +41,7 @@ class NotConnectedError(FlagclassError):
 
 
 class NotInSubgroupError(InvalidInputError):
-    """Weyl element does not stabilize the painted subsystem."""
+    """Weyl element does not stabilize the unpainted subsystem R_Theta."""
 
 
 class CapExceededError(FlagclassError):

@@ -68,13 +68,13 @@ def make_flag(rs: RootSystem, theta) -> FlagSpec:
 def t_projection(f: FlagSpec, a: Root) -> TRoot:
     """Restriction of a root to the black-node coordinates.
 
-    Roots inside the painted subsystem restrict to zero and are refused:
-    they do not define t-roots.
+    Roots of R_Theta, the subsystem of the unpainted (white) nodes, restrict
+    to zero and are refused: they do not define t-roots.
     """
     if a not in f.rs.root_set:
         raise RootArgumentError(f"{a} is not a root")
     if a in f.r_theta:
-        raise ProjectsToZeroError(f"{a} lies in the painted subsystem")
+        raise ProjectsToZeroError(f"{a} lies in the unpainted subsystem R_Theta")
     return TRoot(tuple(a.coords[i - 1] for i in f.sigma_m))
 
 
@@ -159,13 +159,13 @@ def complement_components(f: FlagSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
-    """A root joining two black components through painted nodes only.
+    """A root joining two black components through unpainted (white) nodes only.
 
     A Dynkin diagram is a tree, so at most one path joins the two components
-    with every interior node painted; one breadth-first search from the whole
-    first component through painted nodes finds it.  The running sum of
-    simple roots along the path stays a root at each step, and the final sum
-    restricts to the sum of the two endpoint t-roots.
+    with every interior node in Theta; one breadth-first search from the
+    whole first component through the nodes of Theta finds it.  The running
+    sum of simple roots along the path stays a root at each step, and the
+    final sum restricts to the sum of the two endpoint t-roots.
     """
     if type(d1) is not int or type(d2) is not int:
         raise InvalidInputError(f"component indices must be ints, got {d1!r} and {d2!r}")
@@ -182,7 +182,7 @@ def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
 
     prev: dict[int, int | None] = dict.fromkeys(comps[d1 - 1])
     queue = list(prev)
-    for node in queue:  # grows as painted nodes are reached
+    for node in queue:  # grows as nodes of Theta are reached
         for other in adj[node]:
             if other in f.theta and other not in prev:
                 prev[other] = node
@@ -190,7 +190,7 @@ def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
     # two disjoint subtrees of a tree share at most one edge
     links = [(node, other) for node in queue for other in adj[node] if other in comps[d2 - 1]]
     if not links:
-        raise NotConnectedError(f"no painted path joins components {d1} and {d2}")
+        raise NotConnectedError(f"no unpainted path joins components {d1} and {d2}")
     node, end = links[0]
     path = [end]
     while node is not None:

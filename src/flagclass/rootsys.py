@@ -51,7 +51,7 @@ def types_up_to(max_rank: int) -> list[LieType]:
 
 
 def proper_subsets(rank: int):
-    """Painted sets in sweep order: by size, then lexicographically."""
+    """Theta sets (each flag's unpainted nodes) in sweep order: by size, then lexicographically."""
     for size in range(rank):
         yield from itertools.combinations(range(1, rank + 1), size)
 

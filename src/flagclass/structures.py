@@ -197,7 +197,7 @@ def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
 
 
 # `classify` reads one _one_sign pass per structure; these helpers give
-# is_integrable and c_of_j from such a pass, and qk_feasibility takes one.
+# is_integrable and c_of_j from such a pass.
 
 
 def _integrable(one: tuple[bool, ...]) -> bool:
@@ -341,19 +341,12 @@ def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[int, ...
     return _signed_row(j.signs, _signed_members(ts, t), len(ts.positive))
 
 
-def qk_feasibility(
-    j: IACS, ts: TRootSystem, *, one: tuple[bool, ...] | None = None
-) -> QKFeasibility:
-    """Decide whether some positive metric zeroes every mixed-sign triple sum.
-
-    `one` is the one-sign pass of j, `_one_sign(j.signs, ts)`, for a caller
-    that has it already; by default it is computed here.
-    """
+def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
+    """Decide whether some positive metric zeroes every mixed-sign triple sum."""
     from .feasibility import solve_positive_kernel
 
     _check_lengths(ts, j.signs)
-    if one is None:
-        one = _one_sign(j.signs, ts)
+    one = _one_sign(j.signs, ts)
     s = len(ts.positive)
     rows = [_signed_row(j.signs, signed, s) for signed, o in zip(_signed_triples(ts), one) if not o]
     return solve_positive_kernel(rows, s)
@@ -439,10 +432,10 @@ def _closes_a_triple(prefix: tuple[int, ...], certificates) -> bool:
 
 
 def _koszul_columns(ts: TRootSystem) -> tuple[tuple[int, ...], ...]:
-    """Per class k: M (alpha_i, w_k) over the unpainted simple roots alpha_i, M the int_gram scale.
+    """Per class k: M (alpha_i, w_k) over the painted simple roots alpha_i, M the int_gram scale.
 
-    w_k is the sum of the fiber of pos_k.  A reflection in a painted simple
-    root keeps each fiber, so w_k is orthogonal to the painted roots, and a
+    w_k is the sum of the fiber of pos_k.  A reflection in a simple root of
+    Theta keeps each fiber, so w_k is orthogonal to the roots of Theta, and a
     root alpha of fiber k pairs with w as pos_k pairs with these columns.
     """
     rs = ts.flag.rs
@@ -454,30 +447,25 @@ def _koszul_columns(ts: TRootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(columns)
 
 
-def _koszul_witness(pos, signs: tuple[int, ...], point: tuple[int, ...]) -> bool:
-    """Is lambda_k = j_k (pos_k . H) strictly positive for every class k?"""
-    return all(j * sum(map(mul, p, point)) > 0 for j, p in zip(signs, pos))
-
-
-# one flag's points at a time: verify reads them twice per flag, and holding
+# one flag's chambers at a time: verify reads them twice per flag, and holding
 # every flag's adds about 60 MiB to the peak of verify up to rank 6
 @lru_cache(maxsize=1)
-def _chamber_points(ts: TRootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(signs, int point H) for each chamber on the + side of the first positive t-root.
+def _chamber_points(ts: TRootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(n, lambda) for each chamber on the + side of the first positive t-root.
 
     No elimination runs.  The candidates are the + half of `_avoiding` on
     `_closing_rows`: a sign prefix is dropped as soon as its newest row and
-    one or two earlier rows sum to zero, which certifies it empty.  A leaf J
-    left standing counts as a chamber only once its Koszul point is checked
-    inside it: H pairs each unpainted simple root with v_J, the sum of the
-    J-positive roots of R_M, in ints (the columns of `_koszul_columns`
-    summed with the signs of J at the leaf), so lambda_k = j_k (pos_k . H)
-    must be strictly positive.  For an integrable J, v_J lies in J's chamber
-    (Koszul; Borel-Hirzebruch 1958), and the leaves left standing are the
-    integrable structures.  A leaf without a witness is no chamber here, and
-    the four-way check then reports it.  Only the + side is kept: if H
-    realizes some signs, -H realizes their negation.  The chambers come in
-    enumeration order.
+    one or two earlier rows sum to zero, which certifies it empty.  A leaf,
+    structure n with signs j, counts as a chamber only once its Koszul point
+    H is checked inside it: H pairs each painted simple root with v_J, the
+    sum of the J-positive roots of R_M, in ints (the columns of
+    `_koszul_columns` summed with the signs of j), and the metric lambda_k =
+    j_k (pos_k . H) must be strictly positive.  For an integrable J, v_J
+    lies in J's chamber (Koszul; Borel-Hirzebruch 1958), and the leaves left
+    standing are the integrable structures.  A leaf without a witness is no
+    chamber here, and the four-way check then reports it.  Only the + side
+    is kept: if H realizes some signs, -H realizes their negation.  The
+    chambers come in enumeration order, each with its metric lambda.
     """
     pos = [t.coords for t in ts.positive]
     s = len(pos)
@@ -485,10 +473,11 @@ def _chamber_points(ts: TRootSystem) -> tuple[tuple[tuple[int, ...], tuple[int, 
     listed = _avoiding(s, _closing_rows(pos))
     points = []
     for n in listed[: len(listed) // 2]:
-        signs = _structure(n, s).signs
-        point = tuple(sum(map(mul, signs, coordinate)) for coordinate in zip(*columns))
-        if _koszul_witness(pos, signs, point):
-            points.append((signs, point))
+        signs = _signs(n, s)
+        point = [sum(map(mul, signs, coordinate)) for coordinate in zip(*columns)]
+        lam = tuple(j * sum(map(mul, p, point)) for j, p in zip(signs, pos))
+        if min(lam) > 0:
+            points.append((n, lam))
     return tuple(points)
 
 
@@ -500,7 +489,7 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
     no solve, and then its negation.
     """
     s = len(ts.positive)
-    return tuple(_structure(n, s) for n in _chamber_list(ts))
+    return tuple(IACS(_signs(n, s)) for n in _chamber_list(ts))
 
 
 # Every structure of a flag at once.  Structure n, in enumerate_iacs order,
@@ -510,14 +499,9 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
 # table; what they share is the search.
 
 
-def _structure(n: int, s: int) -> IACS:
-    """Structure n of enumerate_iacs(ts) for a flag with s classes."""
-    return IACS(tuple(-1 if n >> (s - 1 - i) & 1 else 1 for i in range(s)))
-
-
-def _index(signs: tuple[int, ...]) -> int:
-    """The n with _structure(n, len(signs)).signs == signs."""
-    return int("".join("1" if x < 0 else "0" for x in signs), 2)
+def _signs(n: int, s: int) -> tuple[int, ...]:
+    """The signs of structure n of enumerate_iacs(ts) for a flag with s classes."""
+    return tuple(-1 if n >> (s - 1 - i) & 1 else 1 for i in range(s))
 
 
 def _avoiding(s: int, records) -> list[int]:
@@ -596,22 +580,20 @@ def _and_negations(half: list[int], s: int) -> list[int]:
 
 def _chamber_list(ts: TRootSystem) -> list[int]:
     """The structures realized by a regular point: each chamber of _chamber_points and its negation."""
-    return _and_negations(
-        [_index(signs) for signs, _ in _chamber_points(ts)], len(ts.positive)
-    )
+    return _and_negations([n for n, _ in _chamber_points(ts)], len(ts.positive))
 
 
 def _closed_witness_list(ts: TRootSystem) -> list[int]:
-    """The structures given a closed metric by their chamber point, each one checked.
+    """The structures given a closed metric by their chamber, each one checked.
 
-    For the chamber of j with its Koszul point H, lambda_k = j_k (pos_k . H)
-    is positive, and the row of j on a triple is zero at lambda because the
+    The chamber of j carries lambda_k = j_k (pos_k . H) for its Koszul
+    point H, and the row of j on a triple is zero at lambda because the
     members sum to zero: the Borel-Hirzebruch metric, built in ints.  The
-    chamber search checked positivity already; it is checked again here,
-    beside the closed rows, which the search never reads.  A structure is
-    listed only once lambda is checked strictly positive and every closed
-    row of j zero at it.  The same lambda serves -j, whose rows are those
-    of j negated.
+    chamber search kept lambda only where it is positive; it is checked
+    again here, beside the closed rows, which the search never reads.  A
+    structure is listed only once lambda is checked strictly positive and
+    every closed row of j zero at it.  The same lambda serves -j, whose rows
+    are those of j negated.
 
     This is the closed-metric decision, with no solve beside it.  A
     structure outside _integrable_list has a one-signed triple, whose closed
@@ -620,19 +602,19 @@ def _closed_witness_list(ts: TRootSystem) -> list[int]:
     witnessed structures lie in the feasible ones, which lie in the
     integrable ones, and witnessed == integrable proves feasible ==
     integrable.  An integrable structure left unwitnessed is reported, not
-    solved: a wrong chamber point fails the check.
+    solved: a wrong chamber metric fails the check.
     """
-    pos = [t.coords for t in ts.positive]
+    s = len(ts.positive)
     triples = _signed_triples(ts)
     witnessed = []
-    for signs, point in _chamber_points(ts):
-        lam = [j * sum(map(mul, p, point)) for j, p in zip(signs, pos)]
+    for n, lam in _chamber_points(ts):
+        signs = _signs(n, s)
         if min(lam) > 0 and not any(
             a * signs[i] * lam[i] + b * signs[k] * lam[k] + c * signs[m] * lam[m]
             for (i, a), (k, b), (m, c) in triples
         ):
-            witnessed.append(_index(signs))
-    return _and_negations(witnessed, len(pos))
+            witnessed.append(n)
+    return _and_negations(witnessed, s)
 
 
 class PairWitness(_Frozen):
@@ -669,7 +651,7 @@ def _forcing_iacs(ts: TRootSystem, t: ZeroSumTriple) -> IACS:
     return j
 
 
-def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport:
+def normal_metric_unique(f: FlagSpec) -> VerificationReport:
     """Check that only constant metrics stay G1 across every structure.
 
     A G1 metric is constant on each all-equal-sign triple of each structure,
@@ -684,8 +666,6 @@ def normal_metric_unique(f: FlagSpec, cap: int = IACS_CAP) -> VerificationReport
     """
     ts = build_t_roots(f)
     s = len(ts.positive)
-    if s > cap:
-        raise CapExceededError(f"sweeping 2^{s} structures exceeds the cap 2^{cap}")
 
     # the sweep and the chains share triples: one forcing structure per distinct triple
     forcing_of = lru_cache(maxsize=None)(lambda t: _forcing_iacs(ts, t))

@@ -6,9 +6,9 @@ comparison.  The group is generated by the simple reflections under a
 breadth-first sweep, so element order is deterministic: by word length,
 then lexicographically by permutation.
 
-For a painted diagram, the elements fixing the painted subsystem setwise
-also permute the fibers of the t-projection, hence act on sign vectors
-and metrics by relabeling the positive classes.  The stabilizer is
+For a painted diagram, the elements fixing the unpainted subsystem R_Theta
+setwise also permute the fibers of the t-projection, hence act on sign
+vectors and metrics by relabeling the positive classes.  The stabilizer is
 checked against Howlett's factorization and the fiber permutation at the
 point of use, rather than assumed.
 """
@@ -224,7 +224,7 @@ def _stabilizer_masks(w: WeylGroup, f: FlagSpec) -> tuple[int, int]:
 
 
 def a_theta(w: WeylGroup, f: FlagSpec) -> tuple[WeylElement, ...]:
-    """Elements fixing the painted subsystem setwise, in group order.
+    """Elements fixing the unpainted subsystem R_Theta setwise, in group order.
 
     Read off the masks of `_stabilizer_masks`, which come from the elements
     of w itself, and checked against Howlett's A_Theta = W_Theta ⋊ N_Theta
@@ -265,7 +265,7 @@ def act_on_structure(
         raise DimensionMismatchError("element and flag live on different root systems")
     _, _, member = _a_theta_test(f)
     if not member(omega.perm):
-        raise NotInSubgroupError("element does not fix the painted subsystem")
+        raise NotInSubgroupError("element does not fix the unpainted subsystem R_Theta")
     _check_lengths(ts, j.signs, g.lambdas)
     new_signs = []
     new_lams = []

@@ -1,8 +1,44 @@
-"""Test-side oracles: routes the library no longer takes, and exact linear algebra."""
+"""Test-side oracles: routes the library no longer takes, and exact linear algebra.
+
+The (class, sign) members are read off the coordinates of `ts.positive`
+here, not from the library's triple and pair tables, so an oracle never
+shares the table of the route it checks.
+"""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from flagclass.structures import _signed_pairs, _signed_triples
+
+def _signed_coords(ts) -> dict:
+    """(class index, sign) of every t-root, keyed by its coordinates."""
+    signed = {}
+    for k, p in enumerate(ts.positive):
+        signed[p.coords] = (k, 1)
+        signed[tuple(-c for c in p.coords)] = (k, -1)
+    return signed
+
+
+@lru_cache(maxsize=None)
+def _summing_pairs(ts) -> tuple:
+    """(d, e, d + e) as (class, sign) members, for each ordered pair of t-roots summing to one."""
+    signed = _signed_coords(ts)
+    return tuple(
+        (signed[d], signed[e], signed[t])
+        for d in signed for e in signed
+        if (t := tuple(x + y for x, y in zip(d, e))) in signed
+    )
+
+
+@lru_cache(maxsize=None)
+def _zero_sum_members(ts) -> tuple:
+    """The (class, sign) members of each multiset {a, b, c} of t-roots with a + b + c = 0."""
+    signed = _signed_coords(ts)
+    multisets = {
+        tuple(sorted((a, b, c)))
+        for a in signed for b in signed
+        if (c := tuple(-x - y for x, y in zip(a, b))) in signed
+    }
+    return tuple(tuple(signed[m] for m in members) for members in sorted(multisets))
 
 
 def pairs_integrable(j, ts) -> bool:
@@ -15,7 +51,7 @@ def pairs_integrable(j, ts) -> bool:
         ed * ee + 1 == et * (ed + ee)
         for ed, ee, et in (
             (sd * j.signs[d], se * j.signs[e], st * j.signs[t])
-            for (d, sd), (e, se), (t, st) in _signed_pairs(ts)
+            for (d, sd), (e, se), (t, st) in _summing_pairs(ts)
         )
     )
 
@@ -31,7 +67,7 @@ def uniqueness_sweep(ts) -> bool:
     for signs in product((1, -1), repeat=s):
         if len(set(component)) == 1:
             break
-        for signed in _signed_triples(ts):
+        for signed in _zero_sum_members(ts):
             if len({sgn * signs[idx] for idx, sgn in signed}) == 1:
                 merged = {component[idx] for idx, _ in signed}
                 component = [min(merged) if c in merged else c for c in component]
@@ -70,7 +106,7 @@ def closed_candidates_mask(ts) -> int:
     columns = _sign_columns(s)
     full = (1 << (1 << s)) - 1
     single = 0
-    for signed in _signed_triples(ts):
+    for signed in _zero_sum_members(ts):
         weights = {}
         for idx, sgn in signed:
             weights[idx] = weights.get(idx, 0) + sgn

@@ -439,7 +439,7 @@ def test_criterion_08_normal_metric_uniqueness():
         s = len(ts.positive)
         if s < 2:
             continue
-        rep = normal_metric_unique(f, cap=max(20, s))
+        rep = normal_metric_unique(f)
         assert rep.holds, f"{f.label()}"
         assert len(rep.witnesses) == s * (s - 1) // 2
         seen_pairs = set()

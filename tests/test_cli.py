@@ -510,21 +510,21 @@ def test_verify_prints_a_uniqueness_disagreement_as_a_fail_line(capsys, monkeypa
 
 
 def negate_a2_full_plus_point(monkeypatch):
-    """Move the chamber point of A2 full all-plus to -H, so its witness metric turns negative.
+    """Negate the stored metric of the A2 full all-plus chamber, as if its point were -H.
 
-    The signs stay, so the chamber route of the four-way check is untouched.
+    The index stays, so the chamber route of the four-way check is untouched.
     """
     real = structures._chamber_points
 
     def faulted(ts):
         points = real(ts)
         if str(ts.flag.rs.lie_type) == "A2" and not ts.flag.theta:
-            (signs, point), *rest = points
-            assert signs == (1, 1, 1)
-            return ((signs, tuple(-x for x in point)), *rest)
+            (n, lam), *rest = points
+            assert n == 0
+            return ((n, tuple(-x for x in lam)), *rest)
         return points
 
-    # the witness looks the points up in structures on each call
+    # the witness looks the chambers up in structures on each call
     monkeypatch.setattr(structures, "_chamber_points", faulted)
 
 
@@ -581,7 +581,7 @@ def test_classify_ak_equals_k_reads_false_when_no_structure_has_a_closed_metric(
         # every witness metric of A3 full turns negative
         points = real(ts)
         if str(ts.flag.rs.lie_type) == "A3" and not ts.flag.theta:
-            return tuple((signs, tuple(-x for x in point)) for signs, point in points)
+            return tuple((n, tuple(-x for x in lam)) for n, lam in points)
         return points
 
     monkeypatch.setattr(structures, "_chamber_points", negated)
@@ -598,7 +598,7 @@ def test_classify_ak_equals_k_reads_false_where_a_chamber_point_is_wrong(capsys,
     negate_a2_full_plus_point(monkeypatch)
     faulted = run_json(capsys, *argv)
     assert faulted["theorems"]["ak_equals_k"] is False
-    # only the theorem reads the chamber points
+    # only the theorem reads the chamber metrics
     assert faulted["iacs"] == clean["iacs"]
 
 
@@ -617,16 +617,17 @@ def test_classify_solves_one_qk_system_per_conjugate_pair(
     # flag's 2^s structures take 2^(s-1) solves, all giving class 0 the sign +1
     if argv[0] == "sweep":
         argv += ("--out", str(tmp_path / "sweep"))
-    # -j also has the one-signed triples of j, so its integrability, C(j),
-    # QK rows and triple classes are read off one _one_sign pass of j, made
-    # once wherever it is looked up
+    # -j also has the one-signed triples of j, so its integrability, C(j)
+    # and triple classes are read off one _one_sign pass of j, and the solve
+    # of j makes one more of its own
     asked = {name: [] for name in ("_one_sign", "qk_feasibility")}
+    passes = {"_one_sign": 2, "qk_feasibility": 1}
 
     def counting(name, real):
-        def counted(j, ts, **kwargs):
+        def counted(j, ts):
             signs = getattr(j, "signs", j)
             asked[name].append((ts.flag.label(), len(ts.positive), signs))
-            return real(j, ts, **kwargs)
+            return real(j, ts)
 
         return counted
 
@@ -635,11 +636,11 @@ def test_classify_solves_one_qk_system_per_conjugate_pair(
     monkeypatch.setattr(cli, "_one_sign", one_sign)
     monkeypatch.setattr(structures, "_one_sign", one_sign)
     # the uniqueness sweep makes passes of its own, over every structure
-    monkeypatch.setattr(cli, "normal_metric_unique", lambda f, cap: VerificationReport(True, ()))
+    monkeypatch.setattr(cli, "normal_metric_unique", lambda f: VerificationReport(True, ()))
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
     for name, calls in asked.items():
-        assert len(calls) == solves, name
+        assert len(calls) == passes[name] * solves, name
         assert all(signs[0] == 1 for _, _, signs in calls), name
         per_flag = {}
         for label, s, signs in calls:

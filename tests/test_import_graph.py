@@ -344,3 +344,32 @@ def test_lie_stages_read_the_root_table(module, entry):
     called = reached_calls(path, entry)
     assert called, entry
     assert called & ROOT_HELPERS == set()
+
+
+def test_chamber_points_build_no_structure():
+    # each chamber is its index n and its metric lambda: the search decodes
+    # the signs of n by bit arithmetic, builds no IACS, and reads no triple
+    # table, so the chamber route stays independent of the triple route
+    path = Path(flagclass.__file__).with_name("structures.py")
+    called = reached_calls(path, "_chamber_points")
+    assert {"_avoiding", "_closing_rows", "_koszul_columns", "_signs"} <= called
+    assert called & {"IACS", "_signed_triples", "t_zero_sum_triples"} == set()
+
+
+def test_test_oracles_import_no_private_library_name():
+    # the oracles build their own tables, so none shares the table of the
+    # route it checks
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(), filename="oracles.py")
+    modules, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flagclass"):
+            names += [a.name for a in node.names]
+            modules |= {a.asname or a.name for a in node.names}
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.startswith("flagclass")}
+    names += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+    ]
+    assert [name for name in names if name.startswith("_")] == []

@@ -17,9 +17,11 @@ from flagclass.flag import build_t_roots, make_flag
 from flagclass.rootsys import LieType, build_root_system, proper_subsets, types_up_to
 from flagclass.structures import (
     IACS,
+    InvariantMetric,
     closed_metric_feasibility,
     enumerate_iacs,
     is_integrable,
+    kahler_triple_sum,
     nijenhuis_oracle,
     t_chambers,
     t_zero_sum_triples,
@@ -55,13 +57,16 @@ def test_route_lists_match_the_per_structure_functions_up_to_rank_4():
                 continue
             seen.add(s)
             where = f.label()
+            triples = t_zero_sum_triples(ts)
             iacs = enumerate_iacs(ts, cap=s)
             assert len(iacs) == 1 << s
-            assert [structures._structure(n, s) for n in range(1 << s)] == list(iacs)
-            assert [structures._index(j.signs) for j in iacs] == list(range(1 << s))
+            assert [structures._signs(n, s) for n in range(1 << s)] == [j.signs for j in iacs]
+            # each chamber's stored metric is a Kahler metric of its structure
+            for n, lam in structures._chamber_points(ts):
+                g = InvariantMetric(lam)
+                assert all(kahler_triple_sum(g, iacs[n], tr, ts) == 0 for tr in triples), where
 
             chambers = {c.signs for c in t_chambers(ts)}
-            triples = t_zero_sum_triples(ts)
             # only an integrable structure's closed rows have no single-signed row
             no_single_signed_row = indices(
                 not any(single_signed(triple_sum_row(j, tr, ts)) for tr in triples)

@@ -286,9 +286,10 @@ def test_chamber_search_drops_only_empty_prefixes_and_witnesses_every_leaf(
 ):
     # the two certificates of the search, each checked by the solver it
     # replaced: every prefix it drops has no strictly positive point, and
-    # every leaf it keeps standing is witnessed by its Koszul point
-    dropped, leaves = [], []
-    closes, witness = structures._closes_a_triple, structures._koszul_witness
+    # every leaf it keeps standing is witnessed by its Koszul point, so no
+    # leaf of the + half of the search is lost to the metric test
+    dropped = []
+    closes = structures._closes_a_triple
 
     def recording_closes(prefix, certificates):
         out = closes(prefix, certificates)
@@ -296,20 +297,14 @@ def test_chamber_search_drops_only_empty_prefixes_and_witnesses_every_leaf(
             dropped.append(prefix)
         return out
 
-    def recording_witness(pos, signs, point):
-        out = witness(pos, signs, point)
-        leaves.append(out)
-        return out
-
     monkeypatch.setattr(structures, "_closes_a_triple", recording_closes)
-    monkeypatch.setattr(structures, "_koszul_witness", recording_witness)
     checked = 0
     for ts in flags_up_to_rank4():
-        dropped.clear()
-        leaves.clear()
-        points = structures._chamber_points(ts)
-        assert leaves == [True] * len(points), ts.flag.label()
         pos = [p.coords for p in ts.positive]
+        listed = structures._avoiding(len(pos), structures._closing_rows(pos))
+        dropped.clear()
+        points = structures._chamber_points(ts)
+        assert 2 * len(points) == len(listed), ts.flag.label()
         n = len(ts.flag.sigma_m)
         for prefix in dropped:
             rows = [tuple(Fraction(e * c) for c in p) for e, p in zip(prefix, pos)]
@@ -318,30 +313,26 @@ def test_chamber_search_drops_only_empty_prefixes_and_witnesses_every_leaf(
     assert checked == 6090
 
 
-def test_qk_feasibility_reads_a_one_sign_pass_it_is_given():
-    # classify hands each pair's one pass to the solve; the answer is the
-    # one the solve computes on its own
-    ts = full_ts("A3")
-    for j in enumerate_iacs(ts):
-        one = structures._one_sign(j.signs, ts)
-        assert qk_feasibility(j, ts, one=one) == qk_feasibility(j, ts), j.signs
-
-
 def test_chamber_points_are_the_plus_half_with_points_inside():
-    # the signs, in order, are the first half of t_chambers; each point is
-    # strictly positive on its chamber's signed rows
+    # the indices, in order, are the first half of t_chambers; each metric
+    # is positive and is lambda_k = j_k (pos_k . H) for a point H, which is
+    # then strictly inside the chamber of j
     for t in types_up_to(3):
         for theta in proper_subsets(t.rank):
             ts = build_t_roots(make_flag(rs_for(str(t)), theta))
+            s = len(ts.positive)
             points = structures._chamber_points(ts)
             chambers = t_chambers(ts)
-            assert [signs for signs, _ in points] == [c.signs for c in chambers[: len(points)]]
             assert 2 * len(points) == len(chambers)
-            for signs, point in points:
-                assert len(point) == len(ts.flag.sigma_m)
-                assert all(type(x) is int for x in point)
-                for sign, p in zip(signs, ts.positive):
-                    assert sign * sum(a * b for a, b in zip(p.coords, point)) > 0
+            iacs = enumerate_iacs(ts)
+            for (n, lam), chamber in zip(points, chambers):
+                assert iacs[n] == chamber
+                assert all(type(x) is int and x > 0 for x in lam) and len(lam) == s
+                pos = [p.coords for p in ts.positive]
+                values = [sign * x for sign, x in zip(chamber.signs, lam)]
+                # pos . H = values has a solution H: the augmented rank is the rank
+                augmented = [p + (v,) for p, v in zip(pos, values)]
+                assert fraction_rank(augmented, len(pos[0]) + 1) == fraction_rank(pos, len(pos[0]))
 
 
 def test_closed_rows_of_an_integrable_structure_keep_one_dimension_per_painted_root():
@@ -452,6 +443,16 @@ def test_qk_infeasible_instance():
         for k in range(6)
     ]
     assert all(v >= 0 for v in combo) and any(combo)
+
+
+def test_qk_feasibility_makes_its_own_one_sign_pass():
+    # the one-signed triples are a function of j and ts, so no caller hands
+    # them in: an empty pass would have dropped every row of this infeasible j
+    ts = full_ts("A3")
+    j = IACS((1, -1, 1, -1, 1, 1))
+    assert not qk_feasibility(j, ts).feasible
+    with pytest.raises(TypeError):
+        qk_feasibility(j, ts, one=())
 
 
 def test_qk_sweep_carries_proof():
@@ -657,7 +658,7 @@ def test_normal_metric_unique_sweeps_at_most_one_structure_per_triple(monkeypatc
             ts = build_t_roots(f)
             s = len(ts.positive)
             passes.clear()
-            holds = normal_metric_unique(f, cap=s).holds
+            holds = normal_metric_unique(f).holds
             assert len(passes) <= len(t_zero_sum_triples(ts)), f.label()
             if t.rank <= 3:
                 assert holds == uniqueness_sweep(ts), f.label()
@@ -666,9 +667,16 @@ def test_normal_metric_unique_sweeps_at_most_one_structure_per_triple(monkeypatc
     assert checked == 31
 
 
-def test_normal_metric_unique_cap():
-    with pytest.raises(CapExceededError):
-        normal_metric_unique(make_flag(rs_for("B3"), frozenset()), cap=3)
+def test_normal_metric_unique_holds_past_the_structure_cap():
+    # one forcing structure per zero-sum triple: E8 full (s = 120) is swept
+    # and witnessed for every pair, far beyond what enumerate_iacs can list
+    f = make_flag(rs_for("E8"), ())
+    s = len(build_t_roots(f).positive)
+    assert s == 120
+    report = normal_metric_unique(f)
+    assert report.holds and len(report.witnesses) == s * (s - 1) // 2
+    with pytest.raises(TypeError):
+        normal_metric_unique(f, cap=s)
 
 
 def test_normal_metric_unique_desk():
