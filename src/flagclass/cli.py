@@ -149,6 +149,8 @@ def info_payload(f: FlagSpec) -> dict:
         "schema": SCHEMA,
         "flag": flag_key(f.rs.lie_type, tuple(sorted(f.theta))),
         "roots": len(f.rs.all_roots),
+        # flagclass/1 keys: painted_roots counts R_Theta, the unpainted roots,
+        # and complement_roots counts R_M, the painted ones
         "painted_roots": len(f.r_theta),
         "complement_roots": len(f.r_m),
         "s": len(ts.positive),
@@ -167,8 +169,8 @@ def _info_text(payload: dict) -> str:
     lines = [
         f"flag {flag['type']} theta={theta}",
         f"roots: {payload['roots']}"
-        f" (painted {payload['painted_roots']},"
-        f" complement {payload['complement_roots']})",
+        f" (unpainted {payload['painted_roots']},"
+        f" painted {payload['complement_roots']})",
         f"positive t-roots: {payload['s']}",
     ]
     for entry in payload["t_roots"]:
@@ -534,12 +536,10 @@ def main(argv=None) -> int:
             theta = _parse_theta(args, t.rank)
             f = make_flag(rs, theta)
             if args.command == "info":
-                payload = info_payload(f)
-                text = _info_text(payload)
+                payload, render = info_payload(f), _info_text
             else:
-                payload = classify_payload(f, args.iacs_cap)
-                text = _classify_text(payload)
-            _emit(_dump_json(payload) if args.format == "json" else text, out)
+                payload, render = classify_payload(f, args.iacs_cap), _classify_text
+            _emit(_dump_json(payload) if args.format == "json" else render(payload), out)
             return 0
 
         if args.command == "sweep":

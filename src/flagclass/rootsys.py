@@ -2,8 +2,11 @@
 
 Roots are integer coordinate vectors over the simple basis in Bourbaki
 numbering.  Inner products come from the Gram matrix of the simple roots,
-normalized so that long roots have squared length 2, and held also as the
-int matrix M * gram, M its least common denominator: a pairing is one int dot
+read off the Dynkin diagram by one rule: squared lengths on the diagonal
+(long roots 2), -max(|a_i|^2, |a_j|^2)/2 for joined roots, 0 otherwise.
+`build_root_system` grows the roots from its integer Cartan matrix and
+builds one `RootSystem`.  The Gram matrix is held also as the int matrix
+M * gram, M its least common denominator: a pairing is one int dot
 product, which `inner_product` divides by M once; never a float.  The
 Chevalley and Weyl layers read `RootSystem.root_table` instead: the sums,
 lengths and simple reflections of all roots as positions and ints, built
@@ -146,52 +149,28 @@ def _sort_key(r: Root) -> tuple[int, tuple[int, ...]]:
 
 
 def _gram_matrix(t: LieType) -> tuple[tuple[Q, ...], ...]:
-    """Gram matrix of the simple roots, long roots normalized to length^2 = 2."""
-    n = t.rank
-    diag = [Q(2)] * n
-    off: dict[tuple[int, int], Q] = {}
+    """Gram matrix of the simple roots, read off the Dynkin diagram of t.
 
-    def edge(i: int, j: int, val: Q) -> None:
-        off[(i, j)] = val
-        off[(j, i)] = val
-
-    fam = t.family
-    if fam == "A":
-        for i in range(n - 1):
-            edge(i, i + 1, Q(-1))
-    elif fam == "B":
-        diag[n - 1] = Q(1)
-        for i in range(n - 1):
-            edge(i, i + 1, Q(-1))
-    elif fam == "C":
-        for i in range(n - 1):
-            diag[i] = Q(1)
-        for i in range(n - 2):
-            edge(i, i + 1, Q(-1, 2))
-        edge(n - 2, n - 1, Q(-1))
-    elif fam == "D":
-        for i in range(n - 2):
-            edge(i, i + 1, Q(-1))
-        edge(n - 3, n - 1, Q(-1))
+    The diagonal holds the squared lengths: 2 for a long root, 1 for a short
+    one and 2/3 for G2's.  Two joined roots pair to -max(|a_i|^2, |a_j|^2)/2,
+    since a short root's Cartan integer on a long neighbour is -1; all other
+    pairs are orthogonal.  So each family states only lengths and edges.
+    """
+    n, fam = t.rank, t.family
+    lengths = [Q(2)] * n
+    short = {"B": [n - 1], "C": range(n - 1), "F": (2, 3), "G": (0,)}.get(fam, ())
+    for i in short:
+        lengths[i] = Q(2, 3) if fam == "G" else Q(1)
+    edges = [(i, i + 1) for i in range(n - 1)]  # the chain 1-2-...-n
+    if fam == "D":
+        edges[-1] = (n - 3, n - 1)  # the fork at node n-2
     elif fam == "E":
-        # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 hangs off node 4.
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        for a, b in zip(chain, chain[1:]):
-            edge(a, b, Q(-1))
-        edge(1, 3, Q(-1))
-    elif fam == "F":
-        diag = [Q(2), Q(2), Q(1), Q(1)]
-        edge(0, 1, Q(-1))
-        edge(1, 2, Q(-1))
-        edge(2, 3, Q(-1, 2))
-    elif fam == "G":
-        diag = [Q(2, 3), Q(2)]
-        edge(0, 1, Q(-1))
-
-    rows = []
-    for i in range(n):
-        rows.append(tuple(diag[i] if i == j else off.get((i, j), Q(0)) for j in range(n)))
-    return tuple(rows)
+        # Bourbaki: chain 1-3-4-5-6(-7)(-8), node 2 hangs off node 4
+        edges = [(0, 2), (1, 3)] + edges[2:]
+    gram = [[lengths[i] if i == j else Q(0) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) / 2
+    return tuple(map(tuple, gram))
 
 
 class RootSystem(_Frozen, eq=False):
@@ -284,40 +263,50 @@ def inner_product(rs: RootSystem, a: Root, b: Root) -> Q:
     return Q(_scaled_product(rs, a, b), rs.int_gram[0])
 
 
-def cartan_pairing(rs: RootSystem, b: Root, a: Root) -> int:
-    """2(b,a)/(a,a); an integer whenever a is a root."""
-    val, rem = divmod(2 * _scaled_product(rs, b, a), _scaled_product(rs, a, a))
+def _integral_pairing(ba, aa, b, a) -> int:
+    """2(b,a)/(a,a) from (b,a) and (a,a), scaled alike; raise unless it is an integer."""
+    val, rem = divmod(2 * ba, aa)
     if rem:
         raise RootArgumentError(f"pairing of {b} against {a} is not integral")
     return val
 
 
+def cartan_pairing(rs: RootSystem, b: Root, a: Root) -> int:
+    """2(b,a)/(a,a); an integer whenever a is a root."""
+    return _integral_pairing(_scaled_product(rs, b, a), _scaled_product(rs, a, a), b, a)
+
+
 @functools.lru_cache(maxsize=None)
 def build_root_system(t: LieType) -> RootSystem:
-    """Generate all roots from the Gram matrix by root-string closure.
+    """Generate all roots from the Cartan matrix by root-string closure.
 
     Positive roots are grown height by height: for each known root b and
-    simple root a, the string count p (how far b - k*a stays a root) plus
-    the pairing <b, a> decides whether b + a is a root.  Levels below the
+    simple root a_i, the string count p (how far b - k*a_i stays a root)
+    plus the pairing <b, a_i>, read off the integer Cartan matrix of the
+    Gram matrix, decides whether b + a_i is a root.  Levels below the
     current height are always complete, so membership scans are sound.
     """
     gram = _gram_matrix(t)
     n = t.rank
     simple = tuple(Root(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
-    shell = RootSystem(t, simple, simple, gram)  # enough for inner_product
+    # cartan[i][k] = <a_k, a_i>, so <b, a_i> is the dot product of b with row i
+    cartan = [
+        [_integral_pairing(g, row[i], simple[k], simple[i]) for k, g in enumerate(row)]
+        for i, row in enumerate(gram)
+    ]
 
     known: set[Root] = set(simple)
     level = list(simple)
     while level:
         grown: list[Root] = []
         for beta in level:
-            for i, alpha in enumerate(simple):
+            for alpha, row in zip(simple, cartan):
                 p = 0
                 down = beta - alpha
                 while down in known:
                     p += 1
                     down = down - alpha
-                q = p - cartan_pairing(shell, beta, alpha)
+                q = p - sum(map(mul, beta.coords, row))
                 if q >= 1:
                     gamma = beta + alpha
                     if gamma not in known:

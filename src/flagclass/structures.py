@@ -196,8 +196,8 @@ def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
     return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
 
 
-# `classify` reads one _one_sign pass per structure; these helpers give
-# is_integrable and c_of_j from such a pass.
+# `classify` and `classify_structure` read one _one_sign pass per structure;
+# these helpers give is_integrable, c_of_j and is_g1 from such a pass.
 
 
 def _integrable(one: tuple[bool, ...]) -> bool:
@@ -212,6 +212,11 @@ def _c_of(one: tuple[bool, ...], ts: TRootSystem) -> frozenset[TRoot]:
         for signed in itertools.compress(_signed_triples(ts), one)
         for idx, _ in signed
     )
+
+
+def _g1(g: InvariantMetric, one: tuple[bool, ...], ts: TRootSystem) -> bool:
+    """is_g1 from a _one_sign pass: g is constant on every one-signed triple."""
+    return all(_metric_constant(g, signed) for signed in itertools.compress(_signed_triples(ts), one))
 
 
 def is_integrable(j: IACS, ts: TRootSystem) -> bool:
@@ -280,10 +285,7 @@ def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
     direct per-triple test is authoritative.
     """
     _check_lengths(ts, j.signs, g.lambdas)
-    return all(
-        _metric_constant(g, signed)
-        for signed in itertools.compress(_signed_triples(ts), _one_sign(j.signs, ts))
-    )
+    return _g1(g, _one_sign(j.signs, ts), ts)
 
 
 @lru_cache(maxsize=None)
@@ -389,14 +391,11 @@ def classify_structure(
     integrable structure has no such triple, so it is G1 as well.
     """
     _check_lengths(ts, j.signs, g.lambdas)
-    integrable = is_integrable(j, ts)
-    sums = [
-        (one, _triple_sum(g, j.signs, signed))
-        for signed, one in zip(_signed_triples(ts), _one_sign(j.signs, ts))
-    ]
+    one = _one_sign(j.signs, ts)
+    integrable = _integrable(one)
+    sums = [(o, _triple_sum(g, j.signs, signed)) for signed, o in zip(_signed_triples(ts), one)]
     qk = all(v == 0 for one_sign, v in sums if not one_sign)
     closed = all(v == 0 for _, v in sums)
-    g1 = is_g1(g, j, ts)
     labels = set()
     if integrable:
         labels.add(StructureLabel.INTEGRABLE)
@@ -404,7 +403,7 @@ def classify_structure(
         labels.add(StructureLabel.QK)
     if integrable and closed:
         labels.add(StructureLabel.KAHLER)
-    if g1:
+    if _g1(g, one, ts):
         labels.add(StructureLabel.G1)
     return frozenset(labels)
 

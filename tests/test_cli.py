@@ -38,6 +38,35 @@ def test_info_text_example(capsys):
     assert "fiber dimension 3" in out
 
 
+def test_info_text_counts_unpainted_then_painted_roots(capsys):
+    # painting node 1 of B3 leaves nodes 2 and 3 unpainted: R_Theta is their
+    # B2, 8 roots, and the other 10 roots are painted
+    code, out, err = run_cli(capsys, "info", "--type", "B3", "--paint", "1")
+    assert code == 0, err
+    assert out.splitlines()[1] == "roots: 18 (unpainted 8, painted 10)"
+    payload = run_json(capsys, "info", "--type", "B3", "--paint", "1")
+    # the flagclass/1 keys keep their names: painted_roots counts R_Theta
+    assert (payload["painted_roots"], payload["complement_roots"]) == (8, 10)
+
+
+@pytest.mark.parametrize(
+    "argv, render",
+    [
+        (("classify", "--type", "A3", "--theta", ""), "_classify_text"),
+        (("info", "--type", "B3", "--paint", "1"), "_info_text"),
+    ],
+)
+def test_json_output_renders_no_text_report(capsys, monkeypatch, argv, render):
+    code, before, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+
+    def refuse(payload):
+        raise AssertionError(f"{render} ran for --format json")
+
+    monkeypatch.setattr(cli, render, refuse)
+    assert run_cli(capsys, *argv, "--format", "json") == (0, before, "")
+
+
 def test_info_json_fields(capsys):
     payload = run_json(capsys, "info", "--type", "A2", "--theta")
     assert payload["schema"] == "flagclass/1"

@@ -62,7 +62,7 @@ def test_a3_theta23_complement_roots():
     assert f.r_theta == frozenset(rs.root_set) - expect
 
 
-def test_full_flag_has_empty_painted_part():
+def test_full_flag_has_empty_unpainted_part():
     rs = build_root_system(LieType("B", 3))
     f = make_flag(rs, ())
     assert f.r_theta == frozenset()
@@ -91,14 +91,14 @@ def test_theta_out_of_range_rejected():
             make_flag(rs, theta)
 
 
-def test_painted_part_splits_roots():
+def test_unpainted_part_splits_roots():
     for f in desk_flags():
         assert f.r_theta | f.r_m == frozenset(f.rs.root_set)
         assert not (f.r_theta & f.r_m)
         assert {-r for r in f.r_theta} == f.r_theta
 
 
-def test_painted_part_closed_under_addition():
+def test_unpainted_part_closed_under_addition():
     for f in desk_flags():
         for a in f.r_theta:
             for b in f.r_theta:
@@ -127,7 +127,7 @@ def test_projection_examples():
     assert t_projection(f, Root((1, 0, 0))) == TRoot((1,))
 
 
-def test_projection_refuses_painted_roots():
+def test_projection_refuses_unpainted_roots():
     rs = build_root_system(LieType("A", 3))
     f = make_flag(rs, {2, 3})
     with pytest.raises(ProjectsToZeroError):

@@ -89,6 +89,93 @@ def test_gram_normalization_a2():
     assert inner_product(rs, a1, a2) == -1
 
 
+# Cartan matrices in Bourbaki numbering, a_ij = <alpha_i, alpha_j> =
+# 2 (alpha_i, alpha_j) / (alpha_j, alpha_j), as tabulated by Bourbaki
+# (Lie Groups and Lie Algebras, Ch. VI, Plates) and Humphreys (Sec. 11.4).
+EXCEPTIONAL_CARTAN = {
+    "G2": """
+         2 -1
+        -3  2""",
+    "F4": """
+         2 -1  0  0
+        -1  2 -2  0
+         0 -1  2 -1
+         0  0 -1  2""",
+    "E6": """
+         2  0 -1  0  0  0
+         0  2  0 -1  0  0
+        -1  0  2 -1  0  0
+         0 -1 -1  2 -1  0
+         0  0  0 -1  2 -1
+         0  0  0  0 -1  2""",
+    "E7": """
+         2  0 -1  0  0  0  0
+         0  2  0 -1  0  0  0
+        -1  0  2 -1  0  0  0
+         0 -1 -1  2 -1  0  0
+         0  0  0 -1  2 -1  0
+         0  0  0  0 -1  2 -1
+         0  0  0  0  0 -1  2""",
+    "E8": """
+         2  0 -1  0  0  0  0  0
+         0  2  0 -1  0  0  0  0
+        -1  0  2 -1  0  0  0  0
+         0 -1 -1  2 -1  0  0  0
+         0  0  0 -1  2 -1  0  0
+         0  0  0  0 -1  2 -1  0
+         0  0  0  0  0 -1  2 -1
+         0  0  0  0  0  0 -1  2""",
+}
+
+
+def classical_cartan(family: str, n: int) -> list[list[int]]:
+    """The textbook A_n, B_n, C_n and D_n Cartan matrices.
+
+    A_n is 2 on the diagonal and -1 beside it.  B_n has a_{n-1,n} = -2 and
+    C_n has a_{n,n-1} = -2.  D_n forks at node n-2: nodes n-1 and n both
+    join n-2, and not each other.
+    """
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    if family == "B":
+        a[n - 2][n - 1] = -2
+    elif family == "C":
+        a[n - 1][n - 2] = -2
+    elif family == "D":
+        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
+        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+    return a
+
+
+def cartan_oracle(t: LieType) -> list[list[int]]:
+    if str(t) in EXCEPTIONAL_CARTAN:
+        lines = EXCEPTIONAL_CARTAN[str(t)].strip().splitlines()
+        return [[int(x) for x in line.split()] for line in lines]
+    return classical_cartan(t.family, t.rank)
+
+
+def test_cartan_matrices_match_bourbaki_up_to_rank_8():
+    checked = 0
+    for t in types_up_to(8):
+        gram = build_root_system(t).gram
+        n = t.rank
+        cartan = [[2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)]
+        assert cartan == cartan_oracle(t), str(t)
+        checked += 1
+    assert checked == 31
+
+
+def test_cartan_oracle_spot_checks():
+    # the classical forms at small rank, written out, pin the oracle itself
+    assert classical_cartan("B", 3) == [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+    assert classical_cartan("C", 3) == [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+    assert classical_cartan("D", 4) == [
+        [2, -1, 0, 0],
+        [-1, 2, -1, -1],
+        [0, -1, 2, 0],
+        [0, -1, 0, 2],
+    ]
+
+
 def test_gram_long_roots_have_length_two():
     for t in all_desk_types(4):
         rs = build_root_system(t)

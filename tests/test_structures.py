@@ -504,6 +504,23 @@ def test_classify_structure_examples():
     assert classify_structure(lam112, A2_MIXED, ts) == frozenset({StructureLabel.QK})
 
 
+def test_classify_structure_makes_one_one_sign_pass(monkeypatch):
+    # integrability, the triple sums and the G1 test all read the same pass
+    passes = []
+    real = structures._one_sign
+
+    def counted(signs, ts):
+        passes.append(signs)
+        return real(signs, ts)
+
+    monkeypatch.setattr(structures, "_one_sign", counted)
+    ts = full_ts("B3")
+    structs = enumerate_iacs(ts)
+    for j in structs:
+        classify_structure(normal_metric(len(ts.positive)), j, ts)
+    assert passes == [j.signs for j in structs]
+
+
 def test_hierarchy_and_sign_flip_sweep():
     for name, f in desk_flags(2):
         ts = build_t_roots(f)

@@ -166,7 +166,7 @@ def test_group_closure_and_inverses():
             assert e1.compose(e2).perm in perms
 
 
-def test_a_theta_unpainted_is_full_group():
+def test_a_theta_of_the_full_flag_is_full_group():
     for name in ("A2", "B2"):
         w = group_for(name)
         f = make_flag(rs_for(name), ())
