@@ -70,7 +70,7 @@ class ExtScalar(_Frozen):
         """
         r = _exact(r)
         if r <= 0:
-            raise ValueError(f"need a positive rational, got {r}")
+            raise InvalidInputError(f"need a positive rational, got {r}")
         m = r.numerator * r.denominator
         for slot, s in enumerate((1, 2, 3, 6)):
             k = math.isqrt(m // s)
@@ -78,7 +78,7 @@ class ExtScalar(_Frozen):
                 coeffs = [Q(0)] * 4
                 coeffs[slot] = Q(k, r.denominator)
                 return cls(*coeffs)
-        raise ValueError(f"sqrt({r}) is not in Q(sqrt2, sqrt3)")
+        raise InvalidInputError(f"sqrt({r}) is not in Q(sqrt2, sqrt3)")
 
     def is_zero(self) -> bool:
         return not (self.a or self.b or self.c or self.d)

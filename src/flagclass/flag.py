@@ -1,9 +1,11 @@
 """Painted Dynkin diagrams and the restricted-root combinatorics they induce.
 
-A flag is a root system together with a subset Theta of white simple nodes;
-the complementary black nodes index the coordinates that survive restriction
-to the center of the isotropy subalgebra.  Restricted functionals (t-roots)
-are handled as the coefficient tuples over the black nodes.
+A flag is a root system together with a subset Theta of unpainted simple
+nodes; the complementary painted nodes index the coordinates that survive
+restriction to the center of the isotropy subalgebra.  Restricted
+functionals (t-roots) are handled as the coefficient tuples over the
+painted nodes.  The components of the painted part and the bridge roots
+between them are read off the supports of the positive roots.
 """
 from __future__ import annotations
 
@@ -24,13 +26,13 @@ from .rootsys import Root, RootSystem, _Coords
 
 
 class TRoot(_Coords):
-    """A restricted functional as its coefficient tuple over the black nodes."""
+    """A restricted functional as its coefficient tuple over the painted nodes."""
 
     __slots__ = ()
 
 
 class FlagSpec(_Frozen):
-    """A flag manifold datum: root system plus white-node subset Theta."""
+    """A flag manifold datum: root system plus the unpainted-node subset Theta."""
 
     rs: RootSystem
     theta: frozenset[int]
@@ -47,7 +49,7 @@ class FlagSpec(_Frozen):
 
 
 def make_flag(rs: RootSystem, theta) -> FlagSpec:
-    """Build the flag for white nodes `theta` (1-based simple root indices, ints)."""
+    """Build the flag for unpainted nodes `theta` (1-based simple root indices, ints)."""
     try:
         theta = tuple(theta)
     except TypeError:
@@ -66,10 +68,10 @@ def make_flag(rs: RootSystem, theta) -> FlagSpec:
 
 
 def t_projection(f: FlagSpec, a: Root) -> TRoot:
-    """Restriction of a root to the black-node coordinates.
+    """Restriction of a root to the painted-node coordinates.
 
-    Roots of R_Theta, the subsystem of the unpainted (white) nodes, restrict
-    to zero and are refused: they do not define t-roots.
+    Roots of R_Theta, the subsystem of the unpainted nodes, restrict to zero
+    and are refused: they do not define t-roots.
     """
     if a not in f.rs.root_set:
         raise RootArgumentError(f"{a} is not a root")
@@ -129,77 +131,39 @@ def build_t_roots(f: FlagSpec) -> TRootSystem:
 
 
 def complement_components(f: FlagSpec) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the black nodes in the Dynkin diagram.
+    """Connected components of the painted nodes in the Dynkin diagram.
 
-    Components are sorted by their smallest node and returned as 1-based
-    node tuples; callers refer to them by 1-based position in this listing.
+    A root's support is connected, and the highest root of each painted
+    component covers it, so the components are the maximal supports among
+    the positive roots supported on painted nodes.  They are sorted by their
+    smallest node and returned as 1-based node tuples; callers refer to them
+    by 1-based position in this listing.
     """
-    edges = set(f.rs.dynkin_edges())
-    adj: dict[int, set[int]] = {i: set() for i in f.sigma_m}
-    for i, j in edges:
-        if i in adj and j in adj:
-            adj[i].add(j)
-            adj[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for start in f.sigma_m:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for other in sorted(adj[node]):
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
+    painted = frozenset(f.sigma_m)
+    supports = {s for r in f.rs.positive_roots if (s := r.support()) <= painted}
+    return tuple(sorted(tuple(sorted(s)) for s in supports if not any(s < o for o in supports)))
 
 
 def bridge_root(f: FlagSpec, d1: int, d2: int) -> Root:
-    """A root joining two black components through unpainted (white) nodes only.
+    """A root joining two painted components through unpainted nodes only.
 
-    A Dynkin diagram is a tree, so at most one path joins the two components
-    with every interior node in Theta; one breadth-first search from the
-    whole first component through the nodes of Theta finds it.  The running
-    sum of simple roots along the path stays a root at each step, and the
-    final sum restricts to the sum of the two endpoint t-roots.
+    It is the least-height positive root whose support meets each component
+    in exactly one node and otherwise lies in Theta.  A Dynkin diagram is a
+    tree, so that root is the sum of the simple roots along the one path
+    joining the two components, and it restricts to the sum of the two
+    endpoint t-roots.
     """
     if type(d1) is not int or type(d2) is not int:
         raise InvalidInputError(f"component indices must be ints, got {d1!r} and {d2!r}")
     comps = complement_components(f)
     if len(comps) < 2:
-        raise NotConnectedError("the black part of the diagram has a single component")
+        raise NotConnectedError("the painted part of the diagram has a single component")
     if d1 == d2 or not (1 <= d1 <= len(comps)) or not (1 <= d2 <= len(comps)):
         raise InvalidInputError(f"need two distinct component indices in 1..{len(comps)}")
-
-    adj: dict[int, list[int]] = {i: [] for i in range(1, f.rs.rank + 1)}
-    for i, j in f.rs.dynkin_edges():
-        adj[i].append(j)
-        adj[j].append(i)
-
-    prev: dict[int, int | None] = dict.fromkeys(comps[d1 - 1])
-    queue = list(prev)
-    for node in queue:  # grows as nodes of Theta are reached
-        for other in adj[node]:
-            if other in f.theta and other not in prev:
-                prev[other] = node
-                queue.append(other)
-    # two disjoint subtrees of a tree share at most one edge
-    links = [(node, other) for node in queue for other in adj[node] if other in comps[d2 - 1]]
-    if not links:
-        raise NotConnectedError(f"no unpainted path joins components {d1} and {d2}")
-    node, end = links[0]
-    path = [end]
-    while node is not None:
-        path.append(node)
-        node = prev[node]
-    path.reverse()
-    total = f.rs.simple_roots[path[0] - 1]
-    for node in path[1:]:
-        total = total + f.rs.simple_roots[node - 1]
-        if total not in f.rs.root_set:
-            raise InvariantViolationError("path sum left the root system")
-    return total
+    c1, c2 = frozenset(comps[d1 - 1]), frozenset(comps[d2 - 1])
+    allowed = f.theta | c1 | c2
+    for r in f.rs.positive_roots:  # ascending height
+        s = r.support()
+        if s <= allowed and len(s & c1) == len(s & c2) == 1:
+            return r
+    raise NotConnectedError(f"no unpainted path joins components {d1} and {d2}")

@@ -93,12 +93,20 @@ class InvariantMetric(_Frozen):
         return self.lambdas[idx]
 
 
+def _class_count(s) -> int:
+    """s, once checked to be a positive int: the number of positive t-roots."""
+    if type(s) is not int or s < 1:
+        raise InvalidInputError(f"a metric needs a positive int number of classes, got {s!r}")
+    return s
+
+
 def normal_metric(s: int) -> InvariantMetric:
-    return InvariantMetric((Fraction(1),) * s)
+    return InvariantMetric((Fraction(1),) * _class_count(s))
 
 
 def metric_grid(s: int):
     """All metrics with coefficients in {1, 2, 3}; complete at the equality-pattern level."""
+    s = _class_count(s)
     values = (Fraction(1), Fraction(2), Fraction(3))
     for combo in itertools.product(values, repeat=s):
         yield InvariantMetric(combo)

@@ -14,7 +14,7 @@ from flagclass.chevalley import (
     compute_structure_constants,
     verify_jacobi,
 )
-from flagclass.errors import CartanBracketError, InvalidInputError, RootArgumentError
+from flagclass.errors import CartanBracketError, FlagclassError, InvalidInputError, RootArgumentError
 from flagclass.rootsys import (
     LieType,
     Root,
@@ -82,6 +82,12 @@ class TestExtScalar:
             with pytest.raises(InvalidInputError):
                 ExtScalar.sqrt_rational(bad)
         assert ExtScalar.sqrt_rational(2) == ext(b=1)
+
+    def test_sqrt_rational_refusals_are_package_errors(self):
+        # a negative rational, and one whose root lies outside Q(sqrt2, sqrt3)
+        for bad in (-1, Q(5)):
+            with pytest.raises(FlagclassError):
+                ExtScalar.sqrt_rational(bad)
 
     def test_product_with_a_float_is_a_type_error(self):
         x = ext(a=1)

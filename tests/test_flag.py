@@ -221,6 +221,24 @@ def test_labels():
     assert full.label() == "A3 theta="
 
 
+def painted_components(f):
+    """Union-find over the painted pairs with a nonzero Gram entry."""
+    parent = {i: i for i in f.sigma_m}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(f.sigma_m, 2):
+        if f.rs.gram[i - 1][j - 1]:
+            parent[find(i)] = find(j)
+    comps = {}
+    for i in f.sigma_m:
+        comps.setdefault(find(i), []).append(i)
+    return tuple(sorted(tuple(c) for c in comps.values()))
+
+
 def test_components_listing():
     rs5 = build_root_system(LieType("A", 5))
     f = make_flag(rs5, {2, 4})
@@ -228,6 +246,11 @@ def test_components_listing():
     rs4 = build_root_system(LieType("B", 4))
     f = make_flag(rs4, {2})
     assert complement_components(f) == ((1,), (3, 4))
+    for t in types_up_to(8):
+        rs = build_root_system(t)
+        for theta in proper_subsets(t.rank):
+            f = make_flag(rs, theta)
+            assert complement_components(f) == painted_components(f), f.label()
 
 
 def test_bridge_a3():
@@ -247,19 +270,21 @@ def test_bridge_a4():
 
 
 def test_bridge_matches_oracle_on_desk_corpus():
-    """Every flag up to rank 6: the bridge exists exactly when the oracle finds one."""
-    for t in types_up_to(6):
+    """Every flag up to rank 8 and ordered pair of components: the bridge exists
+    exactly when the oracle finds one, and is its unique least-height root."""
+    for t in types_up_to(8):
         rs = build_root_system(t)
         for theta in proper_subsets(t.rank):
             f = make_flag(rs, theta)
             comps = complement_components(f)
-            for d1, d2 in itertools.combinations(range(1, len(comps) + 1), 2):
+            for d1, d2 in itertools.permutations(range(1, len(comps) + 1), 2):
                 expected = bridge_oracle(f, d1, d2)
                 if not expected:
                     with pytest.raises(NotConnectedError):
                         bridge_root(f, d1, d2)
-                else:
-                    assert bridge_root(f, d1, d2) in expected
+                    continue
+                low = min(r.height for r in expected)
+                assert [r for r in expected if r.height == low] == [bridge_root(f, d1, d2)]
 
 
 def test_bridge_restriction_is_endpoint_sum():
@@ -276,7 +301,7 @@ def test_bridge_rejects_connected_complement():
     f = make_flag(rs, {1})
     with pytest.raises(NotConnectedError):
         bridge_root(f, 1, 2)
-    # adjacent black nodes form a single component, so there is nothing to join
+    # adjacent painted nodes form a single component, so there is nothing to join
     rs2 = build_root_system(LieType("A", 2))
     with pytest.raises(NotConnectedError):
         bridge_root(make_flag(rs2, ()), 1, 2)

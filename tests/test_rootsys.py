@@ -156,10 +156,13 @@ def cartan_oracle(t: LieType) -> list[list[int]]:
 def test_cartan_matrices_match_bourbaki_up_to_rank_8():
     checked = 0
     for t in types_up_to(8):
-        gram = build_root_system(t).gram
-        n = t.rank
+        rs = build_root_system(t)
+        gram, n, oracle = rs.gram, t.rank, cartan_oracle(t)
         cartan = [[2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)]
-        assert cartan == cartan_oracle(t), str(t)
+        assert cartan == oracle, str(t)
+        # the Dynkin edges are the pairs i < j with a_ij != 0, 1-based
+        edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if oracle[i][j]]
+        assert rs.dynkin_edges() == tuple(edges), str(t)
         checked += 1
     assert checked == 31
 

@@ -11,6 +11,7 @@ from flagclass.chevalley import bracket_coefficient, compute_structure_constants
 from flagclass.errors import (
     CapExceededError,
     DimensionMismatchError,
+    FlagclassError,
     InvalidInputError,
     RootArgumentError,
 )
@@ -546,6 +547,12 @@ def test_metric_grid_and_normal():
     assert grid[0].lambdas == (1, 1)
     assert all(all(v > 0 for v in g.lambdas) for g in grid)
     assert normal_metric(3).lambdas == (1, 1, 1)
+    # a class count that is no positive int is the package's own error
+    for bad in (-1, 0, 2.0, True):
+        with pytest.raises(FlagclassError):
+            list(metric_grid(bad))
+        with pytest.raises(FlagclassError):
+            normal_metric(bad)
 
 
 def test_validation_errors():
