@@ -44,7 +44,12 @@ class QKFeasibility(_Frozen):
 
 
 def _check_rows(rows, n: int) -> tuple[Row, ...]:
-    """rows as a tuple, refused unless each has length n and int or Fraction entries (no bools)."""
+    """rows as a tuple, refused unless each has n int or Fraction entries (no bools).
+
+    The count n must itself be an int >= 0; a bool is refused there too.
+    """
+    if type(n) is not int or n < 0:
+        raise InvalidInputError(f"the variable count must be an int >= 0, got {n!r}")
     rows = tuple(rows)
     for r in rows:
         if len(r) != n:

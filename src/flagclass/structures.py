@@ -100,6 +100,12 @@ def _class_count(s) -> int:
     return s
 
 
+def _check_cap(cap) -> None:
+    """Refuse a cap that is not an int >= 0 (bools included)."""
+    if type(cap) is not int or cap < 0:
+        raise InvalidInputError(f"a cap must be an int >= 0, got {cap!r}")
+
+
 def normal_metric(s: int) -> InvariantMetric:
     return InvariantMetric((Fraction(1),) * _class_count(s))
 
@@ -130,6 +136,7 @@ def enumerate_iacs(ts: TRootSystem, cap: int = IACS_CAP) -> tuple[IACS, ...]:
     The list reversed is the list negated: entry 2^s - 1 - n is -j for
     entry n, so the first half gives class 0 the sign +1.
     """
+    _check_cap(cap)
     s = len(ts.positive)
     if s > cap:
         raise CapExceededError(f"enumerating 2^{s} structures exceeds the cap 2^{cap}")
@@ -416,23 +423,6 @@ def classify_structure(
     return frozenset(labels)
 
 
-def _closing_rows(pos: list[tuple[int, ...]]):
-    """Every zero-sum triple of the signed rows +-pos_k, as three (class, sign) members.
-
-    Read off the rows' own coordinates, one pair of signed rows at a time; a
-    pair may repeat a row, for 2 a pos_i + e pos_k = 0.  A prefix whose signs
-    give the three members their own signs holds three rows that sum to
-    zero, Farkas weights of 1 or 2, so no point is strictly positive on all
-    of them.
-    """
-    signed = {tuple(a * c for c in p): (k, a) for k, p in enumerate(pos) for a in (1, -1)}
-    return [
-        (signed[p], signed[q], signed[r])
-        for p, q in itertools.combinations_with_replacement(signed, 2)
-        if (r := tuple(-x - y for x, y in zip(p, q))) in signed
-    ]
-
-
 def _closes_a_triple(prefix: tuple[int, ...], certificates) -> bool:
     """Does the prefix give some certificate (i, a, m, b) of its newest class the signs a and b?"""
     return any(prefix[i] == a and prefix[m] == b for i, a, m, b in certificates)
@@ -460,9 +450,10 @@ def _koszul_columns(ts: TRootSystem) -> tuple[tuple[int, ...], ...]:
 def _chamber_points(ts: TRootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(n, lambda) for each chamber on the + side of the first positive t-root.
 
-    No elimination runs.  The candidates are the + half of `_avoiding` on
-    `_closing_rows`: a sign prefix is dropped as soon as its newest row and
-    one or two earlier rows sum to zero, which certifies it empty.  A leaf,
+    No elimination runs.  The candidates are the + half of `_pairs_list`.
+    Each pair record (d, e, -(d + e)) is three signed rows that sum to zero,
+    so a sign prefix that makes a record one-signed has no strictly positive
+    point (Farkas weights of 1 or 2) and is dropped.  A leaf,
     structure n with signs j, counts as a chamber only once its Koszul point
     H is checked inside it: H pairs each painted simple root with v_J, the
     sum of the J-positive roots of R_M, in ints (the columns of
@@ -477,7 +468,7 @@ def _chamber_points(ts: TRootSystem) -> tuple[tuple[int, tuple[int, ...]], ...]:
     pos = [t.coords for t in ts.positive]
     s = len(pos)
     columns = _koszul_columns(ts)
-    listed = _avoiding(s, _closing_rows(pos))
+    listed = _pairs_list(ts)
     points = []
     for n in listed[: len(listed) // 2]:
         signs = _signs(n, s)
@@ -503,7 +494,7 @@ def t_chambers(ts: TRootSystem) -> tuple[IACS, ...]:
 # gives class i the sign -1 iff bit s-1-i of n is set.  Each route below
 # lists the n it calls integrable, ascending: an integrable structure is a
 # chamber, so the list is short where 2^s is not.  Each route reads its own
-# table; what they share is the search.
+# table, the chamber route the pair route's list; what they share is the search.
 
 
 def _signs(n: int, s: int) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .flag import FlagSpec, build_t_roots
 from .rootsys import LieType, Root, RootSystem, inner_product
-from .structures import IACS, InvariantMetric, _check_lengths
+from .structures import IACS, InvariantMetric, _check_cap, _check_lengths
 
 WEYL_CAP = 10**6
 
@@ -144,6 +144,7 @@ def generate_weyl(rs: RootSystem, cap: int = WEYL_CAP) -> WeylGroup:
 
     The cap is checked against the closed-form order before any element is
     built, and the final count against the same formula afterwards."""
+    _check_cap(cap)
     projected = weyl_order(rs.lie_type)
     if projected > cap:
         raise CapExceededError(

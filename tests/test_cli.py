@@ -505,15 +505,23 @@ def test_verify_prints_a_pair_route_disagreement_as_a_fail_line(capsys, monkeypa
             return tuple((d, e, (t, -st)) for d, e, (t, st) in pairs)
         return pairs
 
-    # the pair route looks the name up in structures on each call
+    # the pair route looks the name up in structures on each call, and the
+    # chamber search reads the pair route's list, so the all-plus leaf loses
+    # its chamber and its closed metric too
     monkeypatch.setattr(structures, "_signed_pairs", faulted)
-    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    structures._chamber_points.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--max-rank", "2")
+    finally:
+        structures._chamber_points.cache_clear()
     assert code == 3
     lines = out.splitlines()
     failed = [line for line in lines if not line.startswith("PASS")]
     assert failed == [
         "FAIL integrability-four-way: A2 theta=(): integrability routes disagree"
-        " at signs=(1, 1, 1)"
+        " at signs=(1, 1, 1)",
+        "FAIL ak-equals-k: A2 theta=(): closed metric feasible=False, integrable=True"
+        " at signs=(1, 1, 1)",
     ]
     assert len(lines) == 7
 

@@ -187,6 +187,16 @@ def test_kernel_certificate_is_exact_on_rescaled_int_rows():
     assert all(type(c) is Fraction for c in res.certificate)
 
 
+@pytest.mark.parametrize("n", [-1, -2, True, False, 1.0, "2", None])
+def test_variable_count_must_be_a_nonnegative_int(n):
+    # with no rows, a bad count would otherwise get a vacuous answer
+    for rows in ([], [(1, 1)]):
+        with pytest.raises(InvalidInputError, match="variable count"):
+            solve_positive_kernel(rows, n)
+        with pytest.raises(InvalidInputError, match="variable count"):
+            solve_strict_rows(rows, n)
+
+
 def test_kernel_no_equations_vacuous():
     res = solve_positive_kernel([], 4)
     assert res.feasible

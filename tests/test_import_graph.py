@@ -347,12 +347,13 @@ def test_lie_stages_read_the_root_table(module, entry):
 
 
 def test_chamber_points_build_no_structure():
-    # each chamber is its index n and its metric lambda: the search decodes
-    # the signs of n by bit arithmetic, builds no IACS, and reads no triple
-    # table, so the chamber route stays independent of the triple route
+    # each chamber is its index n and its metric lambda: the search keeps the
+    # leaves of the pair route that its Koszul point witnesses, decodes the
+    # signs of n by bit arithmetic, builds no IACS, and reads no triple table,
+    # so the chamber route stays independent of the triple route
     path = Path(flagclass.__file__).with_name("structures.py")
     called = reached_calls(path, "_chamber_points")
-    assert {"_avoiding", "_closing_rows", "_koszul_columns", "_signs"} <= called
+    assert {"_avoiding", "_pairs_list", "_koszul_columns", "_signs"} <= called
     assert called & {"IACS", "_signed_triples", "t_zero_sum_triples"} == set()
 
 

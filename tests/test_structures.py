@@ -42,7 +42,7 @@ from flagclass.structures import (
     triple_sum_row,
 )
 from flagclass.tzs import ZeroSumTriple
-from oracles import fraction_rank, uniqueness_sweep
+from oracles import _zero_sum_members, fraction_rank, uniqueness_sweep
 
 DESK_TYPES = ("A1", "A2", "A3", "B2", "B3", "C3", "G2")
 _SYSTEMS = {}
@@ -114,6 +114,12 @@ def test_enumerate_counts_and_order():
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
         enumerate_iacs(full_ts("A2"), cap=2)
+
+
+@pytest.mark.parametrize("cap", ["x", -1, True, False, 3.0, None])
+def test_enumerate_cap_must_be_a_nonnegative_int(cap):
+    with pytest.raises(InvalidInputError, match="cap"):
+        enumerate_iacs(full_ts("A2"), cap=cap)
 
 
 def test_sign_lookup_negates():
@@ -200,6 +206,25 @@ def test_signed_pairs_match_a_double_loop_over_t_roots():
                 for d in roots for e in roots if d + e in roots
             )
             assert structures._signed_pairs(ts) == expected, ts.flag.label()
+
+
+def test_pair_records_are_the_zero_sum_triples_of_signed_rows():
+    # the chamber search drops a prefix on a pair record (d, e, -(d + e)), so
+    # its Farkas argument needs every record to be three signed rows summing
+    # to zero, and every such triple of rows to be a record
+    flags = 0
+    for t in types_up_to(6):
+        rs = build_root_system(t)
+        for theta in proper_subsets(t.rank):
+            ts = build_t_roots(make_flag(rs, theta))
+            records = {
+                tuple(sorted((d, e, (k, -sign))))
+                for d, e, (k, sign) in structures._signed_pairs(ts)
+            }
+            expected = {tuple(sorted(members)) for members in _zero_sum_members(ts)}
+            assert records == expected, ts.flag.label()
+            flags += 1
+    assert flags == 545
 
 
 @pytest.mark.parametrize("other", ["B3", "C3"])
@@ -302,7 +327,7 @@ def test_chamber_search_drops_only_empty_prefixes_and_witnesses_every_leaf(
     checked = 0
     for ts in flags_up_to_rank4():
         pos = [p.coords for p in ts.positive]
-        listed = structures._avoiding(len(pos), structures._closing_rows(pos))
+        listed = structures._pairs_list(ts)
         dropped.clear()
         points = structures._chamber_points(ts)
         assert 2 * len(points) == len(listed), ts.flag.label()

@@ -88,6 +88,12 @@ def test_cap_rejects_before_generating():
         generate_weyl(build_root_system(LieType.parse("E7")))
 
 
+@pytest.mark.parametrize("cap", ["x", -1, True, False, 2.0, None])
+def test_cap_must_be_a_nonnegative_int(cap):
+    with pytest.raises(InvalidInputError, match="cap"):
+        generate_weyl(rs_for("A2"), cap=cap)
+
+
 def test_bfs_order_is_deterministic():
     w = group_for("A2")
     assert w.elements[0].is_identity
