@@ -27,7 +27,7 @@ from .errors import (
     RootArgumentError,
     _Frozen,
 )
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, _check_roots
 
 Q = Fraction
 
@@ -223,6 +223,7 @@ def compute_structure_constants(rs: RootSystem) -> StructureConstants:
 def bracket_coefficient(sc: StructureConstants, a: Root, b: Root) -> ExtScalar:
     """n_{a,b} with [X_a, X_b] = n_{a,b} X_{a+b}; zero when a+b is not a root."""
     rs = sc.rs
+    _check_roots(a, b)
     if a not in rs.root_set or b not in rs.root_set:
         raise RootArgumentError("bracket_coefficient arguments must be roots")
     if a + b == Root(tuple(0 for _ in range(rs.rank))):

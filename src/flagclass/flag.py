@@ -22,7 +22,7 @@ from .errors import (
     RootArgumentError,
     _Frozen,
 )
-from .rootsys import Root, RootSystem, _Coords
+from .rootsys import Root, RootSystem, _check_roots, _Coords
 
 
 class TRoot(_Coords):
@@ -73,6 +73,7 @@ def t_projection(f: FlagSpec, a: Root) -> TRoot:
     Roots of R_Theta, the subsystem of the unpainted nodes, restrict to zero
     and are refused: they do not define t-roots.
     """
+    _check_roots(a)
     if a not in f.rs.root_set:
         raise RootArgumentError(f"{a} is not a root")
     if a in f.r_theta:

@@ -4,13 +4,15 @@ Roots are integer coordinate vectors over the simple basis in Bourbaki
 numbering.  Inner products come from the Gram matrix of the simple roots,
 read off the Dynkin diagram by one rule: squared lengths on the diagonal
 (long roots 2), -max(|a_i|^2, |a_j|^2)/2 for joined roots, 0 otherwise.
-`build_root_system` grows the roots from its integer Cartan matrix and
-builds one `RootSystem`.  The Gram matrix is held also as the int matrix
-M * gram, M its least common denominator: a pairing is one int dot
-product, which `inner_product` divides by M once; never a float.  The
-Chevalley and Weyl layers read `RootSystem.root_table` instead: the sums,
-lengths and simple reflections of all roots as positions and ints, built
-once per system.
+`build_root_system` takes the roots as the orbit of the simple roots
+under the simple reflections, each image one dot product with a row of
+the integer Cartan matrix, and builds one `RootSystem`.  The Gram matrix
+is held also as the int matrix M * gram, M its least common denominator:
+a pairing is one int dot product, which `inner_product` divides by M
+once; never a float.  The Chevalley and Weyl layers read
+`RootSystem.root_table` instead: the sums, lengths and simple reflections
+of all roots as positions and ints, built once per system.  The public
+helpers refuse any root argument that is not a `Root`.
 """
 from __future__ import annotations
 
@@ -247,8 +249,16 @@ class RootSystem(_Frozen, eq=False):
         return tuple(out)
 
 
+def _check_roots(*args) -> None:
+    """Refuse any argument that is not a `Root`: a t-root, tuple or list names no root."""
+    for a in args:
+        if not isinstance(a, Root):
+            raise RootArgumentError(f"{a!r} is not a Root")
+
+
 def _scaled_product(rs: RootSystem, a: Root, b: Root) -> int:
     """M (a, b), M the scale of `rs.int_gram`."""
+    _check_roots(a, b)
     n = rs.rank
     if len(a.coords) != n or len(b.coords) != n:
         raise DimensionMismatchError(
@@ -265,6 +275,8 @@ def inner_product(rs: RootSystem, a: Root, b: Root) -> Q:
 
 def _integral_pairing(ba, aa, b, a) -> int:
     """2(b,a)/(a,a) from (b,a) and (a,a), scaled alike; raise unless it is an integer."""
+    if not aa:
+        raise RootArgumentError(f"cannot pair {b} against the zero vector")
     val, rem = divmod(2 * ba, aa)
     if rem:
         raise RootArgumentError(f"pairing of {b} against {a} is not integral")
@@ -278,13 +290,12 @@ def cartan_pairing(rs: RootSystem, b: Root, a: Root) -> int:
 
 @functools.lru_cache(maxsize=None)
 def build_root_system(t: LieType) -> RootSystem:
-    """Generate all roots from the Cartan matrix by root-string closure.
+    """All roots as the orbit of the simple roots under the simple reflections.
 
-    Positive roots are grown height by height: for each known root b and
-    simple root a_i, the string count p (how far b - k*a_i stays a root)
-    plus the pairing <b, a_i>, read off the integer Cartan matrix of the
-    Gram matrix, decides whether b + a_i is a root.  Levels below the
-    current height are always complete, so membership scans are sound.
+    Every root is W-conjugate to a simple root (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, 10.3), and W is generated by the
+    simple reflections s_i(b) = b - <b, a_i> a_i, where <b, a_i> is the dot
+    product of b with row i of the integer Cartan matrix of the Gram matrix.
     """
     gram = _gram_matrix(t)
     n = t.rank
@@ -294,33 +305,21 @@ def build_root_system(t: LieType) -> RootSystem:
         [_integral_pairing(g, row[i], simple[k], simple[i]) for k, g in enumerate(row)]
         for i, row in enumerate(gram)
     ]
-
-    known: set[Root] = set(simple)
-    level = list(simple)
-    while level:
-        grown: list[Root] = []
-        for beta in level:
-            for alpha, row in zip(simple, cartan):
-                p = 0
-                down = beta - alpha
-                while down in known:
-                    p += 1
-                    down = down - alpha
-                q = p - sum(map(mul, beta.coords, row))
-                if q >= 1:
-                    gamma = beta + alpha
-                    if gamma not in known:
-                        known.add(gamma)
-                        grown.append(gamma)
-        level = grown
-
-    positives = sorted(known, key=_sort_key)
-    everything = sorted([(-r) for r in positives] + positives, key=_sort_key)
+    orbit = frontier = {a.coords for a in simple}
+    while frontier:
+        frontier = {
+            c[:i] + (c[i] - sum(map(mul, c, row)),) + c[i + 1:]
+            for c in frontier
+            for i, row in enumerate(cartan)
+        } - orbit
+        orbit |= frontier
+    everything = sorted(map(Root, orbit), key=_sort_key)
     return RootSystem(t, simple, tuple(everything), gram)
 
 
 def root_string(rs: RootSystem, a: Root, b: Root) -> tuple[int, int]:
     """(p, q) for the a-string through b: b - p*a, ..., b + q*a."""
+    _check_roots(a, b)
     if a not in rs.root_set or b not in rs.root_set:
         raise RootArgumentError("root_string arguments must be roots")
     if b == a or b == -a:
@@ -344,6 +343,7 @@ def simple_reflection(rs: RootSystem, i: int, b: Root) -> Root:
     """Image of root b under the reflection in the i-th simple root (1-based)."""
     if type(i) is not int or not 1 <= i <= rs.rank:
         raise RootArgumentError(f"simple root index {i!r} is no int in 1..{rs.rank}")
+    _check_roots(b)
     if b not in rs.root_set:
         raise RootArgumentError(f"{b} is not a root")
     alpha = rs.simple_roots[i - 1]

@@ -14,12 +14,11 @@ point of use, rather than assumed.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter, or_
+from operator import itemgetter
 
 from .errors import (
     CapExceededError,
@@ -30,7 +29,7 @@ from .errors import (
     _Frozen,
 )
 from .flag import FlagSpec, build_t_roots
-from .rootsys import LieType, Root, RootSystem, inner_product
+from .rootsys import LieType, Root, RootSystem, _check_roots, inner_product
 from .structures import IACS, InvariantMetric, _check_cap, _check_lengths
 
 WEYL_CAP = 10**6
@@ -77,6 +76,7 @@ class WeylElement(_Frozen):
         object.__setattr__(self, "perm", tuple(perm))
 
     def apply(self, rs: RootSystem, b: Root) -> Root:
+        _check_roots(b)
         idx = rs.index.get(b)
         if idx is None:
             raise InvalidInputError(f"{b} is not a root of this system")
@@ -112,18 +112,15 @@ class WeylGroup(_Frozen, eq=False):
     generators: tuple[WeylElement, ...]
 
     @cached_property
-    def _simple_masks(self) -> dict[int, dict[int, int]]:
-        """masks[a][r]: bit order - 1 - k set when element k sends the simple
-        root at position a to the root at position r, built from this group's
-        own elements.  A position fits in one byte: no system has more than
-        240 roots (E8)."""
+    def _simple_images(self) -> dict[int, bytes]:
+        """images[a]: byte k is the position of the image under element k of the
+        simple root at position a, read off this group's own elements.  A
+        position fits in one byte: no system has more than 240 roots (E8)."""
         perms = [e.perm for e in self.elements]
-        masks = {}
-        for alpha in self.rs.simple_roots:
-            a = self.rs.index[alpha]
-            column = bytes(map(itemgetter(a), perms))
-            masks[a] = {r: int(column.translate(_DIGITS[r]), 2) for r in set(column)}
-        return masks
+        return {
+            a: bytes(map(itemgetter(a), perms))
+            for a in map(self.rs.index.__getitem__, self.rs.simple_roots)
+        }
 
     @cached_property
     def _place(self) -> dict[tuple[int, ...], int]:
@@ -204,50 +201,43 @@ def _a_theta_test(f: FlagSpec):
     return simple, theta, lambda perm: theta.issuperset(map(perm.__getitem__, simple))
 
 
-# byte r -> b"1", every other byte -> b"0": one element's digit in a mask
-_DIGITS = [b"0" * r + b"1" + b"0" * (255 - r) for r in range(256)]
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _stabilizer_masks(w: WeylGroup, f: FlagSpec) -> tuple[int, int]:
-    """The masks of A_Theta and N_Theta over w.elements: bit order - 1 - k is
-    element k.  A_Theta is the AND over the simple roots a of Delta_Theta of the
-    OR over r in R_Theta of the elements with w(a) = r; N_Theta is the same with
-    Delta_Theta in place of R_Theta."""
-    masks = w._simple_masks
-    simple, theta, _ = _a_theta_test(f)
-    a_mask = n_mask = (1 << len(w.elements)) - 1
+def _kept(w: WeylGroup, simple, targets) -> bytes:
+    """One byte per element of w, in group order: 1 when the element sends every
+    position in simple to a position in targets, else 0.  Each simple root's
+    byte column is translated by a 256-byte membership table of targets, and
+    the columns are ANDed as ints."""
+    table = bytearray(256)
+    for r in targets:
+        table[r] = 1
+    order = len(w.elements)
+    kept = int.from_bytes(b"\x01" * order, "big")
     for a in simple:
-        row = masks[a]
-        a_mask &= functools.reduce(or_, (row.get(r, 0) for r in theta), 0)
-        n_mask &= functools.reduce(or_, (row.get(r, 0) for r in simple), 0)
-    return a_mask, n_mask
+        kept &= int.from_bytes(w._simple_images[a].translate(table), "big")
+    return kept.to_bytes(order, "big")
 
 
 def a_theta(w: WeylGroup, f: FlagSpec) -> tuple[WeylElement, ...]:
     """Elements fixing the unpainted subsystem R_Theta setwise, in group order.
 
-    Read off the masks of `_stabilizer_masks`, which come from the elements
-    of w itself, and checked against Howlett's A_Theta = W_Theta ⋊ N_Theta
-    (J. London Math. Soc. 21, 1980): W_Theta, from Theta's reflections by
+    Read off `_kept`, one byte per element from the elements of w itself,
+    and checked against Howlett's A_Theta = W_Theta ⋊ N_Theta (J. London
+    Math. Soc. 21, 1980): W_Theta, from Theta's reflections by
     generate_weyl's closure, lies inside, and N_Theta, the kept w with
     w(Delta_Theta) = Delta_Theta, fills the count."""
     if w.rs is not f.rs:
         raise InvalidInputError("group and flag were built from different root systems")
-    a_mask, n_mask = _stabilizer_masks(w, f)
-    order = len(w.elements)
+    simple, theta, _ = _a_theta_test(f)
+    kept = _kept(w, simple, theta)
     place = w._place
-    w_theta = _closure(f.rs, w.generators, sorted(f.theta), order)
-    inside = all(
-        (k := place.get(p)) is not None and a_mask >> (order - 1 - k) & 1 for p in w_theta
-    )
-    kept_count, n_theta = a_mask.bit_count(), n_mask.bit_count()
+    w_theta = _closure(f.rs, w.generators, sorted(f.theta), len(w.elements))
+    inside = all((k := place.get(p)) is not None and kept[k] for p in w_theta)
+    kept_count, n_theta = kept.count(1), _kept(w, simple, simple).count(1)
     if not inside or kept_count != len(w_theta) * n_theta:
         raise InvariantViolationError(
             f"kept {kept_count}, |W_Theta| = {len(w_theta)} (inside: {inside}),"
             f" |N_Theta| = {n_theta}"
         )
-    return tuple(compress(w.elements, format(a_mask, f"0{order}b").encode().translate(_BITS)))
+    return tuple(compress(w.elements, kept))
 
 
 def act_on_structure(

@@ -15,6 +15,7 @@ from flagclass.chevalley import (
     verify_jacobi,
 )
 from flagclass.errors import CartanBracketError, FlagclassError, InvalidInputError, RootArgumentError
+from flagclass.flag import TRoot
 from flagclass.rootsys import (
     LieType,
     Root,
@@ -163,6 +164,11 @@ def test_cartan_direction_raises():
         bracket_coefficient(sc, a1, -a1)
     with pytest.raises(RootArgumentError):
         bracket_coefficient(sc, Root((2, 0)), a1)
+    for bad in ([1, 0], (1, 0), TRoot((1, 0))):
+        with pytest.raises(RootArgumentError):
+            bracket_coefficient(sc, bad, a1)
+        with pytest.raises(RootArgumentError):
+            bracket_coefficient(sc, a1, bad)
 
 
 @pytest.mark.parametrize("t", DESK_TYPES, ids=str)

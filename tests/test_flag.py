@@ -134,6 +134,9 @@ def test_projection_refuses_unpainted_roots():
         t_projection(f, Root((0, 1, 0)))
     with pytest.raises(RootArgumentError):
         t_projection(f, Root((5, 0, 0)))
+    for bad in ([1, 0, 0], (1, 0, 0), TRoot((1, 0, 0))):
+        with pytest.raises(RootArgumentError):
+            t_projection(f, bad)
 
 
 def test_projection_is_identity_on_full_flag():

@@ -12,6 +12,7 @@ from flagclass.errors import (
     InvalidLieTypeError,
     RootArgumentError,
 )
+from flagclass.flag import TRoot
 from flagclass.rootsys import (
     LieType,
     Root,
@@ -165,6 +166,40 @@ def test_cartan_matrices_match_bourbaki_up_to_rank_8():
         assert rs.dynkin_edges() == tuple(edges), str(t)
         checked += 1
     assert checked == 31
+
+
+def roots_by_strings(t: LieType) -> list[tuple[int, ...]]:
+    """All roots of t as coordinate tuples, grown height by height from
+    cartan_oracle(t) by root strings, sorted by (height, coords).
+
+    For a positive root b and a simple root a_j, p counts how far b - k a_j
+    stays a root, and b + a_j is a root iff p - <b, a_j> >= 1, where
+    <b, a_j> = sum_i b_i a_ij.  Lower levels are complete when a level is
+    grown, so the scans below are sound.
+    """
+    a, n = cartan_oracle(t), t.rank
+    known = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    level = sorted(known)
+    while level:
+        grown = []
+        for b in level:
+            for j in range(n):
+                p = 0
+                while b[:j] + (b[j] - p - 1,) + b[j + 1:] in known:
+                    p += 1
+                up = b[:j] + (b[j] + 1,) + b[j + 1:]
+                if p - sum(b[i] * a[i][j] for i in range(n)) >= 1 and up not in known:
+                    known.add(up)
+                    grown.append(up)
+        level = grown
+    roots = list(known) + [tuple(-x for x in c) for c in known]
+    return sorted(roots, key=lambda c: (sum(c), c))
+
+
+@pytest.mark.parametrize("t", types_up_to(8), ids=str)
+def test_roots_match_root_string_growth(t):
+    # the Weyl orbit of the simple roots against the root-string derivation
+    assert [r.coords for r in build_root_system(t).all_roots] == roots_by_strings(t)
 
 
 def test_cartan_oracle_spot_checks():
@@ -332,6 +367,25 @@ def test_typed_errors():
             simple_reflection(rs, index, a1)
     with pytest.raises(DimensionMismatchError):
         inner_product(rs, Root((1, 0, 0)), a1)
+    # a list, a tuple or a t-root names no root, whatever its coordinates
+    for bad in ([1, 0], (1, 0), TRoot((1, 0))):
+        for call in (
+            lambda: root_string(rs, bad, a1),
+            lambda: root_string(rs, a1, bad),
+            lambda: simple_reflection(rs, 1, bad),
+            lambda: cartan_pairing(rs, bad, a1),
+            lambda: cartan_pairing(rs, a1, bad),
+            lambda: inner_product(rs, bad, a1),
+            lambda: inner_product(rs, a1, bad),
+        ):
+            with pytest.raises(RootArgumentError):
+                call()
+    # pairing against the zero vector divides by (0, 0)
+    with pytest.raises(RootArgumentError):
+        cartan_pairing(rs, a1, Root((0, 0)))
+    # a Root off the system is still an integer vector to both forms
+    assert inner_product(rs, Root((3, 5)), a1) == 1
+    assert cartan_pairing(rs, Root((3, 5)), a1) == 1
 
 
 def test_build_is_deterministic_and_cached():

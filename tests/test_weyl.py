@@ -11,10 +11,12 @@ from flagclass.errors import (
     InvalidInputError,
     InvariantViolationError,
     NotInSubgroupError,
+    RootArgumentError,
 )
-from flagclass.flag import build_t_roots, make_flag
+from flagclass.flag import TRoot, build_t_roots, make_flag
 from flagclass.rootsys import (
     LieType,
+    Root,
     build_root_system,
     inner_product,
     proper_subsets,
@@ -32,7 +34,7 @@ from flagclass.weyl import (
     WeylElement,
     WeylGroup,
     _a_theta_test,
-    _stabilizer_masks,
+    _kept,
     a_theta,
     act_on_structure,
     generate_weyl,
@@ -145,6 +147,16 @@ def test_invalid_permutation_rejected():
             WeylElement(perm)
 
 
+def test_apply_refuses_what_is_not_a_root():
+    rs = rs_for("A2")
+    e = group_for("A2").generators[0]
+    for bad in ([1, 0], (1, 0), TRoot((1, 0))):
+        with pytest.raises(RootArgumentError):
+            e.apply(rs, bad)
+    with pytest.raises(InvalidInputError):
+        e.apply(rs, Root((2, 0)))
+
+
 def test_inner_products_preserved():
     for name in ("A2", "B2", "G2"):
         rs = rs_for(name)
@@ -201,9 +213,25 @@ def test_a_theta_masks_match_brute_force(t):
         f = make_flag(w.rs, theta)
         simple, _, member = _a_theta_test(f)
         assert a_theta(w, f) == tuple(e for e in w.elements if member(e.perm))
-        _, n_mask = _stabilizer_masks(w, f)
         n_theta = sum(1 for e in w.elements if {e.perm[i] for i in simple} == set(simple))
-        assert n_mask.bit_count() == n_theta, theta
+        assert _kept(w, simple, simple).count(1) == n_theta, theta
+
+
+@pytest.mark.parametrize("t", ["E6", "B6"])
+def test_a_theta_matches_brute_force_on_large_groups(t):
+    # 51,840 and 46,080 elements, on every Theta of size 1 and of size rank - 1;
+    # the group is not kept in _GROUPS, so its memory goes with the test
+    w = generate_weyl(rs_for(t))
+    rank = w.rs.rank
+    thetas = [th for th in proper_subsets(rank) if len(th) in (1, rank - 1)]
+    assert len(thetas) == 2 * rank
+    for theta in thetas:
+        f = make_flag(w.rs, theta)
+        simple, _, member = _a_theta_test(f)
+        assert a_theta(w, f) == tuple(e for e in w.elements if member(e.perm)), theta
+        n_theta = [e for e in w.elements if {e.perm[i] for i in simple} == set(simple)]
+        kept = _kept(w, simple, simple)
+        assert [e for e, k in zip(w.elements, kept) if k] == n_theta, theta
 
 
 def test_a_theta_is_closed_under_composition():
