@@ -140,10 +140,10 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[int, int], int]:
     Lengths are the M (r, r) of `rs.root_table`, whose scale M cancels in
     every ratio, and string counts are walks down its sum table.
     """
-    _, plus, length, _ = rs.root_table
+    plus, _, length, _ = rs.root_table
     n = len(plus)
-    neg = [row.index(n) for row in plus]
     # all_roots is sorted by height, so the positive roots are its upper half
+    # and -root i is root n - 1 - i
     first = n // 2
     pos = range(first, n)
     # every positive pair in root order, filed under its sum
@@ -164,9 +164,10 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[int, int], int]:
             continue
         (alpha, beta), *rest = pairs[gamma]
         # p + 1, p the length of the alpha-string below beta
-        n_ab, down = 1, plus[beta][neg[alpha]]
+        minus_alpha = n - 1 - alpha
+        n_ab, down = 1, plus[beta][minus_alpha]
         while down is not None:
-            n_ab, down = n_ab + 1, plus[down][neg[alpha]]
+            n_ab, down = n_ab + 1, plus[down][minus_alpha]
         table[(alpha, beta)] = n_ab
         for xi, eta in rest:
             # N(gamma, -alpha) = -(beta,beta)/(gamma,gamma) * N(alpha, beta), and
@@ -174,10 +175,10 @@ def _chevalley_positive_table(rs: RootSystem) -> dict[tuple[int, int], int]:
             # N(eta, -alpha) = +(d2,d2)/(eta,eta) * N(d2, alpha) for d2 = eta - alpha;
             # acc is (xi,xi)(eta,eta) times their Jacobi sum
             acc = 0
-            d1 = plus[xi][neg[alpha]]
+            d1 = plus[xi][minus_alpha]
             if d1 is not None and d1 >= first:
                 acc -= length[d1] * length[eta] * n_pos(d1, alpha) * n_pos(d1, eta)
-            d2 = plus[eta][neg[alpha]]
+            d2 = plus[eta][minus_alpha]
             if d2 is not None and d2 >= first:
                 acc += length[d2] * length[xi] * n_pos(d2, alpha) * n_pos(d2, xi)
             num, den = acc * length[gamma], length[xi] * length[eta] * length[beta] * n_ab
@@ -198,10 +199,10 @@ def compute_structure_constants(rs: RootSystem) -> StructureConstants:
     sqrt((x,x)(y,y) / (2(s,s))) and the constant are one ExtScalar and its
     negation per (lengths, constant), shared by every pair that has them.
     """
-    _, plus, length, _ = rs.root_table
+    plus, _, length, _ = rs.root_table
     m = rs.int_gram[0]
     roots = rs.all_roots
-    neg = [roots[row.index(len(plus))] for row in plus]
+    neg = roots[::-1]  # minus roots[i] is roots[len(roots) - 1 - i]
     signed: dict[tuple[int, int, int, int], tuple[ExtScalar, ExtScalar]] = {}
     table: dict[tuple[Root, Root], ExtScalar] = {}
     for (x, y), chev in _chevalley_positive_table(rs).items():
@@ -264,8 +265,8 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
     rs = sc.rs
     # roots are labelled by their position in all_roots; the zero vector is
     # len(all_roots), the sentinel of the sum table
-    label, plus, _, _ = rs.root_table
-    roots = rs.all_roots
+    plus, pair, _, _ = rs.root_table
+    index, roots = rs.index, rs.all_roots
     zero = len(roots)
     coords = [r.coords for r in roots]
     # compute_structure_constants shares one ExtScalar among all entries of
@@ -284,10 +285,8 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
     # terms[x][y]: the split entry of the pair (x, y), None off the table
     terms: list[list] = [[None] * zero for _ in range(zero)]
     for (a, b), v in sc.table.items():
-        terms[label[a.coords]][label[b.coords]] = split[id(v)]
-    m, gram = rs.int_gram
-    # each root times M * Gram, so M (z, x) is one short dot product
-    gram_rows = [[sum(c * g for c, g in zip(r, col) if c) for col in zip(*gram)] for r in coords]
+        terms[index[a]][index[b]] = split[id(v)]
+    m = rs.int_gram[0]
     product = {
         (r1, r2): (r1 * r2 // math.gcd(r1, r2) ** 2, math.gcd(r1, r2) * m)
         for r1 in _RADICALS
@@ -298,7 +297,8 @@ def verify_jacobi(sc: StructureConstants) -> JacobiReport:
         # adds L^2 M times the coefficient of X_{x+y+z} contributed by [[X_x, X_y], X_z]
         s = plus[x][y]
         if s == zero:
-            p = sum(g * c for g, c in zip(gram_rows[z], coords[x]) if c)
+            # M (z, x) is one short dot product with root z's pairings
+            p = sum(g * c for g, c in zip(pair[z], coords[x]) if c)
             acc[1] = acc.get(1, 0) + lcm * lcm * p
             return
         t1 = terms[x][y]

@@ -62,11 +62,7 @@ class _Frozen:
     when they share a class and equal fields, and hash as the field tuple; a
     class stated with `eq=False` compares by identity.  A subclass that
     annotates no field keeps its parent's.  A class that checks its input or
-    has __slots__ writes its own __init__.  Only `rootsys._Coords`, the base
-    of `Root` and `TRoot`, also writes __eq__ and __hash__, to the same
-    effect: those two take some 37k constructions, comparisons and hashes
-    per `verify --max-rank 3 --iacs-cap 6` pass, and reading one slot beats
-    the generic field tuple there.
+    has __slots__ writes its own __init__.
     """
 
     __slots__ = ()

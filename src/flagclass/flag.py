@@ -91,23 +91,25 @@ class TRootSystem(_Frozen, eq=False):
     summand_dims: dict[TRoot, int]
 
     @cached_property
-    def pos_index(self) -> dict[TRoot, int]:
-        return {t: i for i, t in enumerate(self.positive)}
+    def class_of(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """(index into positive order, sign) by coordinates, for the t-roots of either sign."""
+        return {
+            tuple(sign * a for a in t.coords): (i, sign)
+            for sign in (1, -1)
+            for i, t in enumerate(self.positive)
+        }
 
     @cached_property
     def root_class(self) -> dict[Root, tuple[int, int]]:
         """(index into positive order, sign) of the t-root each root of R_M restricts to."""
-        return {a: self.classify(t) for t, roots in self.fibers.items() for a in roots}
+        return {a: self.class_of[t.coords] for t, roots in self.fibers.items() for a in roots}
 
     def classify(self, t: TRoot) -> tuple[int, int]:
         """(index into positive order, sign) for a t-root of either sign."""
-        idx = self.pos_index.get(t)
-        if idx is not None:
-            return idx, 1
-        idx = self.pos_index.get(-t)
-        if idx is not None:
-            return idx, -1
-        raise RootArgumentError(f"{t} is not a t-root of this flag")
+        got = self.class_of.get(t.coords) if isinstance(t, TRoot) else None
+        if got is None:
+            raise RootArgumentError(f"{t} is not a t-root of this flag")
+        return got
 
     def fiber(self, t: TRoot) -> frozenset[Root]:
         got = self.fibers.get(t)

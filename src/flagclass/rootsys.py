@@ -9,10 +9,11 @@ under the simple reflections, each image one dot product with a row of
 the integer Cartan matrix, and builds one `RootSystem`.  The Gram matrix
 is held also as the int matrix M * gram, M its least common denominator:
 a pairing is one int dot product, which `inner_product` divides by M
-once; never a float.  The Chevalley and Weyl layers read
-`RootSystem.root_table` instead: the sums, lengths and simple reflections
-of all roots as positions and ints, built once per system.  The public
-helpers refuse any root argument that is not a `Root`.
+once; never a float.  The Chevalley, Weyl and structure layers read
+`RootSystem.root_table` instead: the sums, simple-root pairings, lengths
+and simple reflections of all roots as positions and ints, built once per
+system.  A `Root` or `flag.TRoot` takes only int coordinates, and the
+public helpers refuse any root argument that is not a `Root`.
 """
 from __future__ import annotations
 
@@ -98,23 +99,19 @@ class LieType(_Frozen):
 class _Coords(_Frozen):
     """An integer coordinate vector; the shared base of `Root` and `flag.TRoot`.
 
-    Equality needs the same class, so a root never equals a t-root, and
-    negation and addition return the class of the left operand.
+    Every coordinate is an int (not a bool).  Equality needs the same class,
+    so a root never equals a t-root, and negation and addition return the
+    class of the left operand.
     """
 
     __slots__ = ("coords",)
     coords: tuple[int, ...]
 
     def __init__(self, coords: tuple[int, ...]):
-        object.__setattr__(self, "coords", tuple(coords))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
+        coords = tuple(coords)
+        if any(type(a) is not int for a in coords):
+            raise RootArgumentError(f"coordinates {coords!r} are not all ints")
+        object.__setattr__(self, "coords", coords)
 
     def __neg__(self):
         return self.__class__(tuple(-a for a in self.coords))
@@ -180,6 +177,8 @@ class RootSystem(_Frozen, eq=False):
 
     `build_root_system` sorts all_roots by height, then coordinates, so the
     negative roots fill its lower half and the positive roots its upper half.
+    Negation reverses that order, so minus the root at position i is at
+    n - 1 - i, n = len(all_roots).
     """
 
     lie_type: LieType
@@ -206,21 +205,22 @@ class RootSystem(_Frozen, eq=False):
         return m, tuple(tuple(g.numerator * (m // g.denominator) for g in row) for row in self.gram)
 
     @cached_property
-    def root_table(self) -> tuple[dict, tuple, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(label, plus, length, reflect) on positions in `all_roots`, built in ints once.
+    def root_table(self) -> tuple[tuple, tuple, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(plus, pair, length, reflect) on positions in `all_roots`, built in ints once.
 
-        label maps coords to position; plus[i][j] is the position of root i +
-        root j, len(all_roots) when the sum is 0 and None when it is no root;
-        length[i] is M (r, r), M the `int_gram` scale; reflect[k][j] is the
-        position of s_{k+1}(root j) = b - <b, alpha_{k+1}> alpha_{k+1}.
+        plus[i][j] is the position of root i + root j, len(all_roots) when
+        the sum is 0 and None when it is no root; pair[i][k] is
+        M (root i, alpha_{k+1}), M the `int_gram` scale; length[i] is
+        M (root i, root i); reflect[k][j] is the position of
+        s_{k+1}(root j) = b - <b, alpha_{k+1}> alpha_{k+1}.
         """
         coords = [r.coords for r in self.all_roots]
         label = {c: i for i, c in enumerate(coords)}
         sums = {**label, (0,) * self.rank: len(coords)}
         plus = tuple(tuple(sums.get(tuple(map(add, a, b))) for b in coords) for a in coords)
         gram = self.int_gram[1]
-        # pair[j][k] = M (root j, alpha_k): the Gram matrix is symmetric
-        pair = [tuple(sum(map(mul, c, row)) for row in gram) for c in coords]
+        # the Gram matrix is symmetric, so row k of it pairs with alpha_k
+        pair = tuple(tuple(sum(map(mul, c, row)) for row in gram) for c in coords)
         length = tuple(sum(map(mul, c, p)) for c, p in zip(coords, pair))
         reflect = tuple(
             tuple(
@@ -229,13 +229,14 @@ class RootSystem(_Frozen, eq=False):
             )
             for k in range(self.rank)
         )
-        return label, plus, length, reflect
+        return plus, pair, length, reflect
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.all_roots if r.is_positive())
 
     def contains(self, r: Root) -> bool:
+        _check_roots(r)
         return r in self.root_set
 
     def dynkin_edges(self) -> tuple[tuple[int, int], ...]:

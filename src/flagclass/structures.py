@@ -41,11 +41,9 @@ IACS_CAP = 20
 
 
 def _as_troot(v) -> TRoot:
-    if isinstance(v, TRoot):
-        return v
-    if isinstance(v, (tuple, list)) and all(type(c) is int for c in v):
-        return TRoot(tuple(v))
-    raise InvalidInputError(f"expected a t-root or a sequence of ints, got {v!r}")
+    if not isinstance(v, (TRoot, tuple, list)):
+        raise InvalidInputError(f"expected a t-root or a sequence of ints, got {v!r}")
+    return v if isinstance(v, TRoot) else TRoot(v)
 
 
 class IACS(_Frozen):
@@ -157,7 +155,7 @@ def _signed_members(ts: TRootSystem, t: ZeroSumTriple) -> tuple[tuple[int, int],
 @lru_cache(maxsize=None)
 def _signed_triples(ts: TRootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The signed members of every zero-sum triple, in t_zero_sum_triples order."""
-    cls = {t.coords: ts.classify(t) for t in ts.t_roots}
+    cls = ts.class_of
     return tuple(tuple(cls[m] for m in t.members) for t in t_zero_sum_triples(ts))
 
 
@@ -168,11 +166,11 @@ def _signed_pairs(ts: TRootSystem):
     Built from t-root sums, never from the triples, so the pair route
     (`_pairs_list`) keeps data independent of `is_integrable`'s.
     """
-    cls = {t.coords: ts.classify(t) for t in ts.t_roots}
+    cls = ts.class_of
     return tuple(
-        (cls[d], cls[e], cls[t])
-        for d in cls for e in cls
-        if (t := tuple(map(add, d, e))) in cls
+        (cls[d.coords], cls[e.coords], cls[t])
+        for d in ts.t_roots for e in ts.t_roots
+        if (t := tuple(map(add, d.coords, e.coords))) in cls
     )
 
 
@@ -431,17 +429,17 @@ def _closes_a_triple(prefix: tuple[int, ...], certificates) -> bool:
 def _koszul_columns(ts: TRootSystem) -> tuple[tuple[int, ...], ...]:
     """Per class k: M (alpha_i, w_k) over the painted simple roots alpha_i, M the int_gram scale.
 
-    w_k is the sum of the fiber of pos_k.  A reflection in a simple root of
-    Theta keeps each fiber, so w_k is orthogonal to the roots of Theta, and a
-    root alpha of fiber k pairs with w as pos_k pairs with these columns.
+    w_k is the sum of the fiber of pos_k, so a column sums the `root_table`
+    pairings of that fiber.  A reflection in a simple root of Theta keeps
+    each fiber, so w_k is orthogonal to the roots of Theta, and a root alpha
+    of fiber k pairs with w as pos_k pairs with these columns.
     """
     rs = ts.flag.rs
-    gram = [rs.int_gram[1][i - 1] for i in ts.flag.sigma_m]
-    columns = []
-    for t in ts.positive:
-        w = [sum(c) for c in zip(*(a.coords for a in ts.fibers[t]))]
-        columns.append(tuple(sum(map(mul, g, w)) for g in gram))
-    return tuple(columns)
+    pair, index = rs.root_table[1], rs.index
+    return tuple(
+        tuple(sum(pair[index[a]][i - 1] for a in ts.fibers[t]) for i in ts.flag.sigma_m)
+        for t in ts.positive
+    )
 
 
 # one flag's chambers at a time: verify reads them twice per flag, and holding

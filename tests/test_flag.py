@@ -210,6 +210,26 @@ def test_classify_roundtrip():
         ts.classify(TRoot((9, 9)))
 
 
+def test_class_of_matches_the_positive_order():
+    # brute force from the positive t-roots: pos_i is (i, 1), -pos_i is (i, -1)
+    for t in types_up_to(4):
+        rs = build_root_system(t)
+        for theta in proper_subsets(t.rank):
+            f = make_flag(rs, theta)
+            ts = build_t_roots(f)
+            expected = {}
+            for i, p in enumerate(ts.positive):
+                expected[p.coords] = (i, 1)
+                expected[tuple(-a for a in p.coords)] = (i, -1)
+            assert ts.class_of == expected, ts.flag.label()
+            assert {c: ts.classify(TRoot(c)) for c in expected} == expected
+            assert ts.root_class == {a: expected[t_projection(f, a).coords] for a in f.r_m}
+            # a Root is no t-root, even with the coordinates of one
+            for c in expected:
+                with pytest.raises(RootArgumentError):
+                    ts.classify(Root(c))
+
+
 def test_build_is_cached():
     rs = build_root_system(LieType("A", 3))
     assert build_t_roots(make_flag(rs, {2, 3})) is build_t_roots(make_flag(rs, {2, 3}))

@@ -388,6 +388,37 @@ def test_typed_errors():
     assert cartan_pairing(rs, Root((3, 5)), a1) == 1
 
 
+def test_coordinates_must_be_ints():
+    # a Root or TRoot is made only from int coordinates, bools refused
+    for cls, coords in (
+        (Root, ("a", "b")),
+        (Root, (0.5, 0)),
+        (Root, (True, 0)),
+        (Root, (Fraction(1), 0)),
+        (TRoot, (1.0,)),
+        (TRoot, (False,)),
+    ):
+        with pytest.raises(RootArgumentError):
+            cls(coords)
+    rs = build_root_system(LieType("A", 2))
+    a1 = rs.simple_roots[0]
+    # before, the first leaked TypeError from Fraction and the second answered 2
+    with pytest.raises(RootArgumentError):
+        inner_product(rs, Root((0.5, 0)), a1)
+    with pytest.raises(RootArgumentError):
+        cartan_pairing(rs, a1, Root((True, 0)))
+    assert Root([1, 0]) == a1
+
+
+def test_contains_refuses_what_is_not_a_root():
+    rs = build_root_system(LieType("A", 2))
+    for arg in ([1, 0], (1, 0), TRoot((1, 0))):
+        with pytest.raises(RootArgumentError):
+            rs.contains(arg)
+    assert rs.contains(Root((1, 0)))
+    assert not rs.contains(Root((3, 5)))
+
+
 def test_build_is_deterministic_and_cached():
     rs1 = build_root_system(LieType("D", 4))
     rs2 = build_root_system(LieType("D", 4))
@@ -395,21 +426,26 @@ def test_build_is_deterministic_and_cached():
     assert rs1.all_roots == build_root_system(LieType("D", 4)).all_roots
 
 
-@pytest.mark.parametrize("t", types_up_to(6), ids=str)
+@pytest.mark.parametrize("t", types_up_to(8), ids=str)
 def test_root_table_matches_root_arithmetic(t):
     """The int table that the Lie layers read agrees with the public helpers:
-    labels with positions, sums with Root addition (the sentinel len(all_roots)
-    for 0, None off the roots), lengths with M (r, r), and each reflection
-    permutation with b -> simple_reflection(rs, i, b)."""
+    sums with Root addition (the sentinel len(all_roots) for 0, None off the
+    roots), pairings with M (r, alpha_k), lengths with M (r, r), and each
+    reflection permutation with b -> simple_reflection(rs, i, b).  Negation
+    reverses all_roots."""
     rs = build_root_system(t)
-    label, plus, length, reflect = rs.root_table
+    plus, pair, length, reflect = rs.root_table
     roots = rs.all_roots
+    n = len(roots)
     m = rs.int_gram[0]
     zero = Root((0,) * t.rank)
-    assert label == {r.coords: i for i, r in enumerate(roots)}
+    assert all(roots[n - 1 - i] == -r for i, r in enumerate(roots))
+    assert pair == tuple(
+        tuple(inner_product(rs, r, a) * m for a in rs.simple_roots) for r in roots
+    )
     assert length == tuple(inner_product(rs, r, r) * m for r in roots)
     assert plus == tuple(
-        tuple(len(roots) if a + b == zero else rs.index.get(a + b) for b in roots)
+        tuple(n if a + b == zero else rs.index.get(a + b) for b in roots)
         for a in roots
     )
     assert reflect == tuple(

@@ -1,6 +1,7 @@
 """Zero-sum triple enumeration, connectivity, and chain certificates."""
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -128,7 +129,7 @@ def test_functional_set_validation():
     for items in (
         [(0.5,), (-0.5,), (1.0,), (-1.0,)],
         [(True,), (-1,)],
-        [Root((1,)), Root((-1,)), Root((0.5,)), Root((-0.5,))],
+        [Root((1,)), Root((-1,)), SimpleNamespace(coords=(0.5,)), SimpleNamespace(coords=(-0.5,))],
     ):
         with pytest.raises(InvalidInputError, match="not an int"):
             make_functional_set(items)

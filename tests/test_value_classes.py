@@ -19,6 +19,7 @@ from flagclass.chevalley import (
     StructureConstants,
     compute_structure_constants,
 )
+from flagclass.errors import _Frozen
 from flagclass.feasibility import QKFeasibility
 from flagclass.flag import FlagSpec, TRoot, TRootSystem, build_t_roots, make_flag
 from flagclass.rootsys import LieType, Root, RootSystem, _Coords, build_root_system
@@ -127,14 +128,16 @@ def test_equality_needs_the_same_class():
 
 
 def test_equality_is_written_once_on_the_coordinate_base():
-    # an identity-compared class holds object's methods, not its own
+    # an identity-compared class holds object's methods, not its own, and
+    # every other class, the coordinate base too, takes _Frozen's
     written = [
-        cls for cls in FIELDS
+        cls for cls in (*FIELDS, _Coords)
         if cls.__dict__.get("__eq__", object.__eq__) is not object.__eq__
         or cls.__dict__.get("__hash__", object.__hash__) is not object.__hash__
     ]
     assert written == []
-    assert {"__eq__", "__hash__"} <= _Coords.__dict__.keys()
+    assert Root.__eq__ is _Frozen.__eq__ and TRoot.__hash__ is _Frozen.__hash__
+    assert hash(Root((1, 0))) == hash(((1, 0),)) == hash(TRoot((1, 0)))
     assert issubclass(Root, _Coords) and issubclass(TRoot, _Coords)
     assert not isinstance(TRoot((1,)), Root)
     a, b = TRoot((1, 0)), TRoot((0, 1))
@@ -223,4 +226,4 @@ def test_cached_properties_still_work_on_the_root_systems():
     assert rs.index[rs.all_roots[0]] == 0
     assert rs.positive_roots == RS.positive_roots
     ts = TRootSystem(FLAG, TS.t_roots, TS.positive, TS.fibers, TS.summand_dims)
-    assert ts.pos_index == TS.pos_index
+    assert ts.class_of == TS.class_of
