@@ -225,7 +225,7 @@ def bracket_coefficient(sc: StructureConstants, a: Root, b: Root) -> ExtScalar:
     """n_{a,b} with [X_a, X_b] = n_{a,b} X_{a+b}; zero when a+b is not a root."""
     rs = sc.rs
     _check_roots(a, b)
-    if a not in rs.root_set or b not in rs.root_set:
+    if a not in rs.index or b not in rs.index:
         raise RootArgumentError("bracket_coefficient arguments must be roots")
     if a + b == Root(tuple(0 for _ in range(rs.rank))):
         raise CartanBracketError("a + b = 0 lands in the Cartan subalgebra")

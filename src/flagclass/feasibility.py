@@ -2,12 +2,12 @@
 
 Both questions the classifier asks are strict: a point where every row, a
 plain coefficient tuple, is > 0, and a strictly positive solution of E x = 0,
-answered as one `QKFeasibility`.  Both are decided by one integer
-Fourier-Motzkin elimination, whose equality rows are first removed by
-substitution, so answers are exact and samples rational.  Inside, rows are
-coprime ints and a point is ints X over one common denominator D > 0; only
-the samples and certificates callers receive are Fractions.  The run that
-derives 0 > 0 returns checked Farkas weights on its input rows; for a
+answered as one `QKFeasibility`.  Every answer to either comes from one
+integer Fourier-Motzkin elimination, whose equality rows are first removed
+by substitution, so answers are exact and samples rational.  Inside, rows
+are coprime ints and a point is ints X over one common denominator D > 0;
+only the samples and certificates callers receive are Fractions.  The run
+that derives 0 > 0 returns checked Farkas weights on its input rows; for a
 positive kernel, minus the weights on the equality rows is the dual
 certificate, a combination of them that is nonnegative and nonzero.
 """
@@ -226,22 +226,14 @@ def scale_to_integers(vec) -> tuple[int, ...]:
 def solve_positive_kernel(eq_rows, n: int) -> QKFeasibility:
     """Decide E x = 0 with x strictly positive, exactly.
 
-    The fast path rejects an equality whose nonzero coefficients share a
-    sign.  Otherwise one elimination of x_k > 0 for every k, subject to
-    E x = 0, gives a sample, rescaled to small integers, or weights u on the
+    Every answer comes from one elimination of x_k > 0 for every k, subject
+    to E x = 0: a sample, rescaled to small integers, or weights u on the
     equality rows with -u^T E its nonnegative, nonzero weights on x > 0.
     Either is checked as ints against the rows as given.  Negating a row
     changes neither its pivot nor the substitution, so it keeps the sample
     and flips only that row's certificate entry.
     """
     rows = _check_rows(eq_rows, n)
-    for i, r in enumerate(rows):
-        lo, hi = min(r, default=0), max(r, default=0)
-        if (lo < 0) != (hi > 0):
-            cert = [Fraction(0)] * len(rows)
-            cert[i] = Fraction(1 if hi > 0 else -1)
-            return QKFeasibility(False, None, rows, tuple(cert))
-
     positivity = [tuple(int(j == k) for j in range(n)) for k in range(n)]
     x, _, weights = _eliminate(positivity, n, rows)
     if x is None:

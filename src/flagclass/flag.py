@@ -74,7 +74,7 @@ def t_projection(f: FlagSpec, a: Root) -> TRoot:
     and are refused: they do not define t-roots.
     """
     _check_roots(a)
-    if a not in f.rs.root_set:
+    if a not in f.rs.index:
         raise RootArgumentError(f"{a} is not a root")
     if a in f.r_theta:
         raise ProjectsToZeroError(f"{a} lies in the unpainted subsystem R_Theta")

@@ -191,10 +191,6 @@ class RootSystem(_Frozen, eq=False):
         return self.lie_type.rank
 
     @cached_property
-    def root_set(self) -> frozenset[Root]:
-        return frozenset(self.all_roots)
-
-    @cached_property
     def index(self) -> dict[Root, int]:
         return {r: i for i, r in enumerate(self.all_roots)}
 
@@ -237,7 +233,7 @@ class RootSystem(_Frozen, eq=False):
 
     def contains(self, r: Root) -> bool:
         _check_roots(r)
-        return r in self.root_set
+        return r in self.index
 
     def dynkin_edges(self) -> tuple[tuple[int, int], ...]:
         """1-based index pairs (i, j), i < j, of adjacent simple roots."""
@@ -321,18 +317,18 @@ def build_root_system(t: LieType) -> RootSystem:
 def root_string(rs: RootSystem, a: Root, b: Root) -> tuple[int, int]:
     """(p, q) for the a-string through b: b - p*a, ..., b + q*a."""
     _check_roots(a, b)
-    if a not in rs.root_set or b not in rs.root_set:
+    if a not in rs.index or b not in rs.index:
         raise RootArgumentError("root_string arguments must be roots")
     if b == a or b == -a:
         raise RootArgumentError("the string through b = +/-a is degenerate")
     p = 0
     cur = b - a
-    while cur in rs.root_set:
+    while cur in rs.index:
         p += 1
         cur = cur - a
     q = 0
     cur = b + a
-    while cur in rs.root_set:
+    while cur in rs.index:
         q += 1
         cur = cur + a
     if p - q != cartan_pairing(rs, b, a):
@@ -345,10 +341,10 @@ def simple_reflection(rs: RootSystem, i: int, b: Root) -> Root:
     if type(i) is not int or not 1 <= i <= rs.rank:
         raise RootArgumentError(f"simple root index {i!r} is no int in 1..{rs.rank}")
     _check_roots(b)
-    if b not in rs.root_set:
+    if b not in rs.index:
         raise RootArgumentError(f"{b} is not a root")
     alpha = rs.simple_roots[i - 1]
     image = b - alpha.scaled(cartan_pairing(rs, b, alpha))
-    if image not in rs.root_set:
+    if image not in rs.index:
         raise RootArgumentError(f"reflection left the root system at {b}")
     return image

@@ -62,7 +62,7 @@ class IACS(_Frozen):
         object.__setattr__(self, "signs", signs)
 
     def sign(self, ts: TRootSystem, t) -> int:
-        _check_lengths(ts, self.signs)
+        _check_lengths(ts, j=self)
         idx, sgn = ts.classify(_as_troot(t))
         return sgn * self.signs[idx]
 
@@ -86,7 +86,7 @@ class InvariantMetric(_Frozen):
         object.__setattr__(self, "lambdas", coerced)
 
     def value(self, ts: TRootSystem, t) -> Fraction:
-        _check_lengths(ts, self.lambdas)
+        _check_lengths(ts, g=self)
         idx, _ = ts.classify(_as_troot(t))
         return self.lambdas[idx]
 
@@ -174,13 +174,24 @@ def _signed_pairs(ts: TRootSystem):
     )
 
 
-def _check_lengths(ts: TRootSystem, *vectors: tuple) -> None:
-    """Raise unless every sign or metric vector has one entry per positive t-root."""
+def _check_lengths(ts: TRootSystem, **given: IACS | InvariantMetric) -> None:
+    """Refuse arguments of the wrong type, then vectors of the wrong length.
+
+    ts must be a `TRootSystem`, a given j an `IACS` and a given g an
+    `InvariantMetric`, or the call is an `InvalidInputError`; so a swapped or
+    missing argument is a usage error.  Each vector must then have one entry
+    per positive t-root.
+    """
+    if not isinstance(ts, TRootSystem):
+        raise InvalidInputError(f"expected a TRootSystem, got {ts!r}")
+    for name, v in given.items():
+        kind = IACS if name == "j" else InvariantMetric
+        if not isinstance(v, kind):
+            raise InvalidInputError(f"{name} must be an {kind.__name__}, got {v!r}")
     s = len(ts.positive)
-    if any(len(v) != s for v in vectors):
-        raise DimensionMismatchError(
-            f"flag has {s} positive classes, got vectors of lengths {[len(v) for v in vectors]}"
-        )
+    lengths = [len(v.signs if isinstance(v, IACS) else v.lambdas) for v in given.values()]
+    if any(n != s for n in lengths):
+        raise DimensionMismatchError(f"flag has {s} positive classes, got vectors of lengths {lengths}")
 
 
 def _one_sign(signs: tuple[int, ...], ts: TRootSystem) -> tuple[bool, ...]:
@@ -203,7 +214,7 @@ def _metric_constant(g: InvariantMetric, signed) -> bool:
 
 
 def classify_triple(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> TripleClass:
-    _check_lengths(ts, j.signs)
+    _check_lengths(ts, j=j)
     # a member that is no t-root of ts raises in _signed_members
     one_sign = len({sgn * j.signs[idx] for idx, sgn in _signed_members(ts, t)}) == 1
     return TripleClass.ZERO_THREE if one_sign else TripleClass.ONE_TWO
@@ -234,7 +245,7 @@ def _g1(g: InvariantMetric, one: tuple[bool, ...], ts: TRootSystem) -> bool:
 
 def is_integrable(j: IACS, ts: TRootSystem) -> bool:
     """True iff no zero-sum triple of t-roots is all-equal-sign under j."""
-    _check_lengths(ts, j.signs)
+    _check_lengths(ts, j=j)
     return _integrable(_one_sign(j.signs, ts))
 
 
@@ -247,6 +258,8 @@ def _nijenhuis_pairs(f: FlagSpec, sc: StructureConstants):
     nothing; the bracket lands in the isotropy subalgebra and the projection
     kills it.
     """
+    if sc.rs is not f.rs:
+        raise InvalidInputError("flag and constants were built from different root systems")
     cls = {r.coords: c for r, c in build_t_roots(f).root_class.items()}
     return tuple(
         (n, cls[a.coords], cls[b.coords], cls[t])
@@ -258,10 +271,9 @@ def _nijenhuis_pairs(f: FlagSpec, sc: StructureConstants):
 
 def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
     """True iff the torsion of j vanishes on every Weyl basis pair from R_M."""
-    if sc.rs is not f.rs:
-        raise InvalidInputError("flag and constants were built from different root systems")
-    _check_lengths(build_t_roots(f), j.signs)
-    for n, (ia, sa), (ib, sb), (it, st) in _nijenhuis_pairs(f, sc):
+    pairs = _nijenhuis_pairs(f, sc)
+    _check_lengths(build_t_roots(f), j=j)
+    for n, (ia, sa), (ib, sb), (it, st) in pairs:
         ea = sa * j.signs[ia]
         eb = sb * j.signs[ib]
         et = st * j.signs[it]
@@ -273,13 +285,13 @@ def nijenhuis_oracle(f: FlagSpec, sc: StructureConstants, j: IACS) -> bool:
 
 def c_of_j(j: IACS, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some all-equal-sign triple."""
-    _check_lengths(ts, j.signs)
+    _check_lengths(ts, j=j)
     return _c_of(_one_sign(j.signs, ts), ts)
 
 
 def c_of_g(g: InvariantMetric, ts: TRootSystem) -> frozenset[TRoot]:
     """Positive representatives of t-roots lying on some constant-coefficient triple."""
-    _check_lengths(ts, g.lambdas)
+    _check_lengths(ts, g=g)
     return frozenset(
         ts.positive[idx]
         for signed in _signed_triples(ts)
@@ -297,7 +309,7 @@ def is_g1(g: InvariantMetric, j: IACS, ts: TRootSystem) -> bool:
     own all-equal-sign triple still carries two metric values, so only the
     direct per-triple test is authoritative.
     """
-    _check_lengths(ts, j.signs, g.lambdas)
+    _check_lengths(ts, j=j, g=g)
     return _g1(g, _one_sign(j.signs, ts), ts)
 
 
@@ -334,7 +346,7 @@ def g1_oracle(
     if sc.rs is not f.rs:
         raise InvalidInputError("flag and constants were built from different root systems")
     ts = build_t_roots(f)
-    _check_lengths(ts, j.signs, g.lambdas)
+    _check_lengths(ts, j=j, g=g)
     _check_triple_lifts(f)
     cls, table = ts.root_class, sc.table
     for tri in _root_zero_sum_triples(f):
@@ -352,7 +364,7 @@ def g1_oracle(
 
 def triple_sum_row(j: IACS, t: ZeroSumTriple, ts: TRootSystem) -> tuple[int, ...]:
     """Coefficient row of the signed metric sum over one triple."""
-    _check_lengths(ts, j.signs)
+    _check_lengths(ts, j=j)
     return _signed_row(j.signs, _signed_members(ts, t), len(ts.positive))
 
 
@@ -360,7 +372,7 @@ def qk_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     """Decide whether some positive metric zeroes every mixed-sign triple sum."""
     from .feasibility import solve_positive_kernel
 
-    _check_lengths(ts, j.signs)
+    _check_lengths(ts, j=j)
     one = _one_sign(j.signs, ts)
     s = len(ts.positive)
     rows = [_signed_row(j.signs, signed, s) for signed, o in zip(_signed_triples(ts), one) if not o]
@@ -376,7 +388,7 @@ def closed_metric_feasibility(j: IACS, ts: TRootSystem) -> QKFeasibility:
     """
     from .feasibility import solve_positive_kernel
 
-    _check_lengths(ts, j.signs)
+    _check_lengths(ts, j=j)
     s = len(ts.positive)
     rows = [_signed_row(j.signs, signed, s) for signed in _signed_triples(ts)]
     return solve_positive_kernel(rows, s)
@@ -386,7 +398,7 @@ def kahler_triple_sum(
     g: InvariantMetric, j: IACS, t: ZeroSumTriple, ts: TRootSystem
 ) -> Fraction:
     """Signed metric sum over one triple; zero on every triple means closed form."""
-    _check_lengths(ts, j.signs, g.lambdas)
+    _check_lengths(ts, j=j, g=g)
     return _triple_sum(g, j.signs, _signed_members(ts, t))
 
 
@@ -403,7 +415,7 @@ def classify_structure(
     is plus or minus a sum of three positive coefficients, never zero.  An
     integrable structure has no such triple, so it is G1 as well.
     """
-    _check_lengths(ts, j.signs, g.lambdas)
+    _check_lengths(ts, j=j, g=g)
     one = _one_sign(j.signs, ts)
     integrable = _integrable(one)
     sums = [(o, _triple_sum(g, j.signs, signed)) for signed, o in zip(_signed_triples(ts), one)]
@@ -560,8 +572,6 @@ def _nijenhuis_list(f: FlagSpec, sc: StructureConstants) -> list[int]:
     Those are the pairs whose torsion factor e_a e_b + 1 - e_{a+b} (e_a + e_b)
     is nonzero.
     """
-    if sc.rs is not f.rs:
-        raise InvalidInputError("flag and constants were built from different root systems")
     return _avoiding(
         len(build_t_roots(f).positive),
         [(a, b, (t, -st)) for n, a, b, (t, st) in _nijenhuis_pairs(f, sc) if not n.is_zero()],

@@ -257,7 +257,7 @@ def act_on_structure(
     _, _, member = _a_theta_test(f)
     if not member(omega.perm):
         raise NotInSubgroupError("element does not fix the unpainted subsystem R_Theta")
-    _check_lengths(ts, j.signs, g.lambdas)
+    _check_lengths(ts, j=j, g=g)
     new_signs = []
     new_lams = []
     for t in ts.positive:

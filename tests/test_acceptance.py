@@ -207,11 +207,12 @@ def _four_way_at_scale(name, f, ts):
     pair_route = ~pair_fail
 
     torsion_fail = np.zeros(n, dtype=bool)
+    root_set = frozenset(f.rs.all_roots)
     roots = sorted(f.r_m, key=lambda r: r.coords)
     for i, a in enumerate(roots):
         for b in roots[i + 1 :]:
             total = a + b
-            if total not in f.rs.root_set or total in f.r_theta:
+            if total not in root_set or total in f.r_theta:
                 continue
             assert not bracket_coefficient(sc, a, b).is_zero()
             ea = eps_column(signs, ts.classify(t_projection(f, a)))
@@ -557,6 +558,7 @@ def test_criterion_10_structure_constants_rank6():
         name = str(t)
         rs = rs_for(name)
         sc = sc_for(name)
+        root_set = frozenset(rs.all_roots)
         assert verify_jacobi(sc).ok, name
         for (a, b), n in sc.table.items():
             p, _ = root_string(rs, a, b)
@@ -567,7 +569,7 @@ def test_criterion_10_structure_constants_rank6():
             assert n * n == expected, f"{name}: |n|^2 off at ({a}, {b})"
             pairs += 1
             c = -(a + b)
-            if c in rs.root_set:
+            if c in root_set:
                 assert bracket_coefficient(sc, b, c) == n
                 assert bracket_coefficient(sc, c, a) == n
                 triples += 1

@@ -184,10 +184,11 @@ def test_antisymmetry_and_negation(t):
 def test_cyclic_identity_on_zero_sum_triples(t):
     rs = build_root_system(t)
     sc = compute_structure_constants(rs)
+    root_set = frozenset(rs.all_roots)
     for a in rs.all_roots:
         for b in rs.all_roots:
             c = -(a + b)
-            if c in rs.root_set and (a, b) in sc.table:
+            if c in root_set and (a, b) in sc.table:
                 assert sc.table[(a, b)] == sc.table[(b, c)] == sc.table[(c, a)]
 
 
@@ -229,6 +230,7 @@ def _jacobi_oracle(sc: StructureConstants) -> JacobiReport:
     """
     rs = sc.rs
     roots = rs.all_roots
+    root_set = frozenset(roots)
     zero = Root(tuple(0 for _ in range(rs.rank)))
     table = sc.table
 
@@ -249,7 +251,7 @@ def _jacobi_oracle(sc: StructureConstants) -> JacobiReport:
     for i, a in enumerate(roots):
         for b in roots[i + 1:]:
             s = a + b
-            if s == zero or s in rs.root_set:
+            if s == zero or s in root_set:
                 pairs.append((a, b))
 
     seen: set[tuple[Root, Root, Root]] = set()
@@ -338,11 +340,12 @@ def test_table_covers_exactly_bracketable_pairs():
     for t in DESK_TYPES + [LieType("F", 4)]:
         rs = build_root_system(t)
         sc = compute_structure_constants(rs)
+        root_set = frozenset(rs.all_roots)
         expected = {
             (a, b)
             for a in rs.all_roots
             for b in rs.all_roots
-            if (a + b) in rs.root_set
+            if (a + b) in root_set
         }
         assert set(sc.table) == expected, t
 

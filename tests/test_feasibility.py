@@ -129,10 +129,9 @@ def test_row_entries_must_be_exact(entry):
 
 
 def test_kernel_row_entries_must_be_exact():
-    # the row has both signs, so it passes the fast path and reaches the elimination
+    # the row guard refuses an inexact entry, whatever the signs of the others
     with pytest.raises(InvalidInputError):
         solve_positive_kernel([(1.0, -1)], 2)
-    # single-signed rows, which the fast path would answer without the elimination
     for rows in ([(1.0, 2.0)], [("x", -1)], [(None, 1)], [(True, 1)]):
         with pytest.raises(InvalidInputError):
             solve_positive_kernel(rows, 2)
@@ -163,12 +162,12 @@ def test_kernel_single_equation():
 
 
 def test_kernel_same_sign_row_rejected_fast():
-    res = solve_positive_kernel([(1, 2, 3)], 3)
-    assert not res.feasible
-    assert res.certificate == (1,)
-    res = solve_positive_kernel([(0, -1, -2)], 3)
-    assert not res.feasible
-    assert res.certificate == (-1,)
+    # a single-signed row rules out a positive kernel on its own; the
+    # elimination's certificate for it is checked like any other
+    for rows in ([(1, 2, 3)], [(0, -1, -2)]):
+        res = solve_positive_kernel(rows, 3)
+        assert not res.feasible
+        check_certificate(rows, res.certificate)
 
 
 def test_kernel_forced_zero_coordinate():
@@ -179,7 +178,6 @@ def test_kernel_forced_zero_coordinate():
 
 
 def test_kernel_certificate_is_exact_on_rescaled_int_rows():
-    # no row has a single sign, so the system reaches the elimination, and
     # both rows rescale by a factor other than 1 on the way in
     res = solve_positive_kernel([(2, -4), (-6, 3)], 2)
     assert not res.feasible
@@ -207,8 +205,7 @@ def test_kernel_no_equations_vacuous():
 
 
 def test_kernel_full_rank_infeasible():
-    # the last two systems have no single-signed row, so they pass the fast
-    # path; the last one is rank-deficient, so its certificate is not unique
+    # the last system is rank-deficient, so its certificate is not unique
     for rows in ([(1, 0), (0, 1)], [(1, -1), (1, -2)], [(1, 1, -1), (1, -1, 1), (2, 2, -2)]):
         res = solve_positive_kernel(rows, len(rows[0]))
         assert not res.feasible

@@ -59,7 +59,7 @@ def test_a3_theta23_complement_roots():
         expect.add(Root(coords))
         expect.add(-Root(coords))
     assert f.r_m == expect
-    assert f.r_theta == frozenset(rs.root_set) - expect
+    assert f.r_theta == frozenset(rs.all_roots) - expect
 
 
 def test_full_flag_has_empty_unpainted_part():
@@ -93,17 +93,18 @@ def test_theta_out_of_range_rejected():
 
 def test_unpainted_part_splits_roots():
     for f in desk_flags():
-        assert f.r_theta | f.r_m == frozenset(f.rs.root_set)
+        assert f.r_theta | f.r_m == frozenset(f.rs.all_roots)
         assert not (f.r_theta & f.r_m)
         assert {-r for r in f.r_theta} == f.r_theta
 
 
 def test_unpainted_part_closed_under_addition():
     for f in desk_flags():
+        roots = frozenset(f.rs.all_roots)
         for a in f.r_theta:
             for b in f.r_theta:
                 c = a + b
-                if c in f.rs.root_set:
+                if c in roots:
                     assert c in f.r_theta
 
 
@@ -111,12 +112,13 @@ def test_positive_half_closure():
     # adding a painted or positive complementary root to a positive
     # complementary root never leaves the positive complementary half
     for f in desk_flags():
+        roots = frozenset(f.rs.all_roots)
         r_m_pos = [r for r in f.r_m if r.is_positive()]
         left = list(f.r_theta) + r_m_pos
         for a in left:
             for b in r_m_pos:
                 c = a + b
-                if c in f.rs.root_set:
+                if c in roots:
                     assert c in f.r_m and c.is_positive()
 
 

@@ -1,4 +1,4 @@
-"""The report writer against the stdlib encoder, and classify entries against the library.
+"""The report writer against the stdlib encoder, and classify entries against a coordinate oracle.
 
 The oracle is `json.dumps(payload, indent=2) + "\\n"`, the encoding every
 `flagclass/1` report is pinned to.
@@ -13,7 +13,7 @@ import pytest
 from flagclass import cli
 from flagclass.flag import build_t_roots, make_flag
 from flagclass.rootsys import LieType, build_root_system, proper_subsets, types_up_to
-from flagclass.structures import IACS, c_of_j, classify_triple, t_zero_sum_triples
+from flagclass.structures import t_zero_sum_triples
 
 
 def oracle(payload):
@@ -38,21 +38,42 @@ def test_classify_report_matches_stdlib(name, theta):
     assert cli._dump_json(payload) == oracle(payload)
 
 
+def member_class(pos, m):
+    """(k, sign) of a t-root given by its coordinates: m is pos[k] or -pos[k]."""
+    if m in pos:
+        return pos.index(m), 1
+    return pos.index([-x for x in m]), -1
+
+
 @pytest.mark.parametrize("name,theta", FLAGS)
 def test_classify_entries_match_library(name, theta):
+    # the oracle reads coordinates alone: a member's sign is j_k on the
+    # coordinates of positive class k and -j_k on their negation
     ts = build_t_roots(flag_for(name, theta))
+    pos = [list(t.coords) for t in ts.positive]
     triples = t_zero_sum_triples(ts)
     payload = payload_for(name, theta)
     assert len(payload["iacs"]) == 2 ** len(ts.positive)
     for entry in payload["iacs"]:
-        j = IACS(tuple(entry["signs"]))
+        signs = entry["signs"]
         assert [t["members"] for t in entry["triples"]] == [
             [list(m) for m in tr.members] for tr in triples
         ]
+        classes = [[member_class(pos, m) for m in t["members"]] for t in entry["triples"]]
+        one_signed = [len({sgn * signs[k] for k, sgn in cl}) == 1 for cl in classes]
         assert [t["class"] for t in entry["triples"]] == [
-            classify_triple(j, tr, ts).value for tr in triples
+            "ZeroThree" if one else "OneTwo" for one in one_signed
         ]
-        assert entry["c_of_j"] == sorted(list(t.coords) for t in c_of_j(j, ts))
+        c_of_j = {k for cl, one in zip(classes, one_signed) if one for k, _ in cl}
+        assert entry["c_of_j"] == sorted(pos[k] for k in c_of_j)
+        assert entry["integrable"] == (not any(one_signed))
+        # a quasi-Kahler sample is positive and zeroes every OneTwo triple's signed sum
+        if entry["qk"]["feasible"]:
+            x = [Fraction(v) for v in entry["qk"]["sample"]]
+            assert len(x) == len(pos) and all(v > 0 for v in x)
+            for cl, one in zip(classes, one_signed):
+                if not one:
+                    assert sum(sgn * signs[k] * x[k] for k, sgn in cl) == 0, (signs, cl)
 
 
 def test_info_report_matches_stdlib():

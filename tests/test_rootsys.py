@@ -248,11 +248,12 @@ def test_root_string_examples():
 
 def brute_string(rs, a, b):
     """Membership-scan oracle for the string counts."""
+    roots = frozenset(rs.all_roots)
     p = 0
-    while (Root(tuple(x - (p + 1) * y for x, y in zip(b.coords, a.coords)))) in rs.root_set:
+    while (Root(tuple(x - (p + 1) * y for x, y in zip(b.coords, a.coords)))) in roots:
         p += 1
     q = 0
-    while (Root(tuple(x + (q + 1) * y for x, y in zip(b.coords, a.coords)))) in rs.root_set:
+    while (Root(tuple(x + (q + 1) * y for x, y in zip(b.coords, a.coords)))) in roots:
         q += 1
     return p, q
 

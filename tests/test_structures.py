@@ -236,6 +236,8 @@ def test_constant_oracles_refuse_constants_of_another_system(other):
         nijenhuis_oracle(f, sc_for(other), j)
     with pytest.raises(InvalidInputError, match="different root systems"):
         g1_oracle(f, sc_for(other), g, j)
+    with pytest.raises(InvalidInputError, match="different root systems"):
+        structures._nijenhuis_list(f, sc_for(other))
 
 
 def test_integrability_routes_agree_desk():
@@ -637,6 +639,33 @@ def test_validation_errors():
         ):
             with pytest.raises(DimensionMismatchError):
                 call()
+
+
+def test_structure_arguments_of_the_wrong_type_are_usage_errors():
+    # a plain tuple, None, a swapped j and g or a flag in place of its t-roots
+    # is refused before any attribute is read (A2 full, s = 3)
+    f = make_flag(rs_for("A2"), frozenset())
+    ts, sc = build_t_roots(f), sc_for("A2")
+    tri = t_zero_sum_triples(ts)[0]
+    j, g = A2_PLUS, normal_metric(3)
+    for call in (
+        lambda: is_integrable((1, 1, 1), ts),
+        lambda: qk_feasibility(None, ts),
+        lambda: classify_structure(j, g, ts),
+        lambda: c_of_j(j, None),
+        lambda: nijenhuis_oracle(f, sc, (1, 1, 1)),
+        lambda: is_g1(j, g, ts),
+        lambda: g1_oracle(f, sc, j, g),
+        lambda: c_of_g((1, 1, 1), ts),
+        lambda: classify_triple(j, tri, f),
+        lambda: triple_sum_row(g, tri, ts),
+        lambda: closed_metric_feasibility(j, f),
+        lambda: kahler_triple_sum(g, (1, 1, 1), tri, ts),
+        lambda: j.sign(None, ts.positive[0]),
+        lambda: g.value(f, ts.positive[0]),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 def test_normal_metric_unique_a2():

@@ -335,6 +335,14 @@ def test_action_checks_vector_lengths():
             act_on_structure(w.identity, f, j, metric)
 
 
+def test_action_refuses_structures_of_the_wrong_type():
+    f = make_flag(rs_for("A2"), ())
+    e, j, g = group_for("A2").identity, IACS((1, 1, 1)), normal_metric(3)
+    for jj, gg in (((1, 1, 1), g), (j, (1, 1, 1)), (g, j), (None, g)):
+        with pytest.raises(InvalidInputError):
+            act_on_structure(e, f, jj, gg)
+
+
 def test_action_permutes_metric_entries():
     rs = rs_for("A2")
     f = make_flag(rs, ())
